@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma separated thresholds for the summary")
     mc.add_argument("--sigma-be-deg", type=float, default=0.0,
                     help="beam pointing error stddev in degrees")
-    mc.add_argument("--window-radius", type=float, default=None,
-                    help="sampling window radius in meters")
     mc.add_argument("--trace", default=None,
                     help="write a per-drop CSV trace to this path")
     return parser
@@ -111,7 +109,6 @@ def _trace_rows(batch: montecarlo.DropBatch):
 def _cmd_mc(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     sim = montecarlo.SimConfig(drops=args.drops, seed=args.seed,
-                               window_radius=args.window_radius,
                                parallel_chunks=args.chunks)
     sigma = float(np.radians(args.sigma_be_deg))
     batch = montecarlo.simulate(cfg, sim, sigma_be_rad=sigma,

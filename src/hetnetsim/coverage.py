@@ -9,17 +9,20 @@ tail is handled with the standard alternating binomial bound, so every term is
 a finite n-sum of exponentials.
 
 Integrals are computed in the squared-radius variable per blockage annulus,
-which makes the serving density constant and every integrand analytic.
+which makes the serving density constant and every integrand analytic.  The
+interference exponents are exact there; only the serving-loss integral is
+adaptive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, erfcx
+from scipy.special import erf, erfcx, exprel, hyp2f1
 
 from . import intensity
 from .association import AssociationTable, association_table, power_ratios
@@ -52,80 +55,93 @@ def _exclusion_ratios(cfg: NetworkConfig, k: int, exclusion_zone: str) -> np.nda
                      f"got {exclusion_zone!r}")
 
 
+def _psi_antiderivative(n: int, p: float, c: np.ndarray, v: np.ndarray):
+    """An antiderivative in v of psi(n, c * v**(-1/p)) for the 2F1 piece."""
+    with np.errstate(divide="ignore"):
+        y = 1.0 / (1.0 + c * v ** (-1.0 / p))
+    return p * v * (1.0 - y) ** p * sum(
+        y ** (m - 1) * hyp2f1(m + p - 1.0, p, m + p, y) / (m + p - 1.0)
+        for m in range(1, n + 1))
+
+
+def _annulus_integral(n: int, delta: float, c, v0, v1: float) -> np.ndarray:
+    """Exact integral of psi(n, c * v**-delta) dv over [v0, v1], elementwise.
+
+    c >= 0 and 0 < v0 <= v1 broadcast together.  With x = c * v**-delta,
+    psi(n, x) = sum_{m=1..n} x (1+x)^-m.  Above x_s = min(1/2, 3/n) each term
+    has the antiderivative p v (1-y)^p y^(m-1) 2F1(m+p-1, p; m+p; y)/(m+p-1),
+    with p = 1/delta and y = 1/(1+x): no pole for any delta > 0, and y stays
+    off 1, where 2F1 is slow.  Below x_s the binomial series of psi is
+    integrated term by term; its absolute terms sum to (1-x_s)^-n at most.
+    """
+    c, v0 = np.broadcast_arrays(c, v0)
+    p = 1.0 / delta
+    x_s = min(0.5, 3.0 / n)
+    # x = x_s at v = (c/x_s)^p: [v0, mid] is the 2F1 piece, [mid, v1] the series
+    mid = np.clip((c / x_s) ** p, v0, v1)
+    near = mid > v0
+    closed = np.zeros(c.shape)
+    closed[near] = (_psi_antiderivative(n, p, c[near], mid[near])
+                    - _psi_antiderivative(n, p, c[near], v0[near]))
+    # x <= x_s on a nonempty series piece; on an empty one (span 0) the
+    # clamp keeps x^k from overflowing
+    x_mid = np.minimum(c * mid ** -delta, x_s)
+    x_hi = np.minimum(c * v1 ** -delta, x_s)
+    span = np.log1p((v1 - mid) / mid)          # log(v1 / mid)
+    # psi = sum_k (-1)^(k+1) C(n+k-1, k) x^k, and with e = 1 - delta k and
+    # L = span, int_mid^v1 v^(-delta k) dv = v1^e L exprel(-e L)
+    # = mid^e L exprel(e L); the form with the negative argument cannot overflow
+    series = np.zeros(c.shape)
+    coef, pow_mid, pow_hi = -1.0, 1.0, 1.0
+    for k in itertools.count(1):
+        coef *= -(n + k - 1.0) / k
+        pow_mid = pow_mid * x_mid
+        pow_hi = pow_hi * x_hi
+        e = 1.0 - delta * k
+        if e > 0.0:
+            term = coef * v1 * pow_hi * span * exprel(-e * span)
+        else:
+            term = coef * mid * pow_mid * span * exprel(e * span)
+        series += term
+        # the terms shrink geometrically once k >= n, as x <= x_s <= 1/2;
+        # written so that a NaN also stops the loop
+        if k >= n and not np.any(np.abs(term) > 1e-17 * np.abs(series)):
+            break
+    return closed + series
+
+
 def _interference_batch(cfg: NetworkConfig, k: int, j: int, s_int: LinkState,
                         gamma_k: float, l: np.ndarray, n_values: np.ndarray,
-                        g0: float, excl_ratio: float,
-                        abs_tol: float = 1e-8, max_waves: int = 12):
+                        g0: float, excl_ratio: float) -> np.ndarray:
     """Interference exponents for tier j in state s_int at serving losses l.
 
-    Returns (values, converged) with values shaped (len(n_values), len(l)).
-    Each value is sum_G p_G * integral over t > excl_ratio*l of
-    psi(N, q_nG * l / t) dLambda_{j,s_int}(t), evaluated per annulus in the
-    squared-radius variable where the measure is flat.
+    Returns values shaped (len(n_values), len(l)).  Each value is
+    sum_G p_G * integral over t > excl_ratio*l of psi(N, q_nG * l / t)
+    dLambda_{j,s_int}(t), computed exactly per annulus in the squared-radius
+    variable, where the measure is flat and t = kappa * v**(alpha/2).
     """
-    from .quadrature import G7_WEIGHTS, K15_NODES, K15_WEIGHTS
-
     segs = intensity.state_segments(cfg.tiers[j], s_int)
     out = np.zeros((n_values.size, l.size))
-    if not segs:
-        return out, True
     n_fad = cfg.fading.n(s_int)
-    eta_i = eta(n_fad)
     pmf = cfg.interferer_gain_pmf(j)
     gains = np.array([g for g, _ in pmf])
     probs = np.array([p for _, p in pmf])
     # q[n, G] * l / t is the psi argument
-    q = (n_values[:, None] * eta_i * gamma_k * cfg.tiers[j].tx_power
+    q = (n_values[:, None] * eta(n_fad) * gamma_k * cfg.tiers[j].tx_power
          * gains[None, :] / (cfg.tiers[k].tx_power * g0 * n_fad))
     a = excl_ratio * l
-    converged = True
-    tol_seg = abs_tol / len(segs)
-    unit = 0.5 * (K15_NODES + 1.0)  # GK nodes mapped onto [0, 1]
     for seg in segs:
         v_lo = np.clip((a / seg.kappa) ** (2.0 / seg.alpha), seg.lo_r2, seg.hi_r2)
-        width = seg.hi_r2 - v_lo            # (L,)
-        if not np.any(width > 0.0):
-            continue
-        # psi has a boundary layer just above the exclusion radius whose
-        # relative scale varies with l, so the initial grid is geometric
-        # toward the left edge rather than uniform
-        edges = np.concatenate([[0.0], np.geomspace(1e-8, 1.0, 17)])
-        for wave in range(max_waves):
-            p_lo, p_hi = edges[:-1], edges[1:]
-            half = 0.5 * (p_hi - p_lo)      # (P,)
-            umid = 0.5 * (p_hi + p_lo)
-            u = umid[:, None] + half[:, None] * K15_NODES[None, :]   # (P, 15)
-            v = v_lo[:, None, None] + width[:, None, None] * u[None, :, :]  # (L,P,15)
-            t = seg.kappa * v ** (0.5 * seg.alpha)
-            with np.errstate(divide="ignore"):
-                arg = q[:, :, None, None, None] * (l[:, None, None] / t)[None, None]
-            vals = psi(n_fad, arg)                       # (n,G,L,P,15)
-            k15 = np.einsum("ngifw,w->ngif", vals, K15_WEIGHTS)
-            g7 = np.einsum("ngifw,w->ngif", vals, G7_WEIGHTS)
-            scale = width[None, None, :, None] * half[None, None, None, :]
-            k15 = k15 * scale
-            g7 = g7 * scale
-            comb = np.einsum("g,ngif->nif", probs, k15)   # (n,L,P)
-            err = np.einsum("g,ngif->nif", probs, np.abs(k15 - g7))
-            worst = err.max(axis=(0, 1))                  # per panel
-            if err.sum(axis=2).max() <= tol_seg:
-                break
-            bad = worst > tol_seg / (2.0 * max(1, p_lo.size))
-            if not np.any(bad) or edges.size > 512:
-                converged = False
-                break
-            mids = 0.5 * (p_lo[bad] + p_hi[bad])
-            edges = np.sort(np.concatenate([edges, mids]))
-        else:
-            converged = False
-        out += math.pi * cfg.tiers[j].density * seg.weight * comb.sum(axis=2)
-    return out, converged
+        c = q[:, :, None] * (l / seg.kappa)[None, None, :]       # (n, G, L)
+        vals = _annulus_integral(n_fad, 0.5 * seg.alpha, c, v_lo, seg.hi_r2)
+        out += (math.pi * cfg.tiers[j].density * seg.weight
+                * np.einsum("g,ngi->ni", probs, vals))
+    return out
 
 
 def interference_term(cfg: NetworkConfig, j: int, s_int: LinkState, k: int,
                       n: int, gamma: float, l: float, g0: float | None = None,
-                      exclusion_zone: str = "with_gains",
-                      abs_tol: float = 1e-10) -> float:
+                      exclusion_zone: str = "with_gains") -> float:
     """One tier/state interference exponent at a single serving path loss.
 
     This is the gain-pmf-weighted integral of psi against tier j's state-s_int
@@ -135,10 +151,9 @@ def interference_term(cfg: NetworkConfig, j: int, s_int: LinkState, k: int,
     if g0 is None:
         g0 = cfg.tiers[k].serving_gain
     ratio = _exclusion_ratios(cfg, k, exclusion_zone)[j]
-    vals, _ = _interference_batch(cfg, k, j, s_int, float(gamma),
-                                  np.array([float(l)]), np.array([int(n)]),
-                                  g0, ratio, abs_tol=abs_tol)
-    return float(vals[0, 0])
+    return float(_interference_batch(cfg, k, j, s_int, float(gamma),
+                                     np.array([float(l)]), np.array([int(n)]),
+                                     g0, ratio)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -176,7 +191,7 @@ def _normalize_thresholds(cfg: NetworkConfig, thresholds) -> np.ndarray:
 
 def _term(cfg: NetworkConfig, k: int, state: LinkState, gamma_k: float,
           g0_k: float, mode: str, excl_ratios: np.ndarray,
-          outer_abs_tol: float, outer_rel_tol: float, inner_abs_tol: float):
+          outer_abs_tol: float, outer_rel_tol: float):
     """Joint mass of {associated via (k, state)} and {SINR > gamma_k}."""
     from .quadrature import integrate_function
 
@@ -191,7 +206,6 @@ def _term(cfg: NetworkConfig, k: int, state: LinkState, gamma_k: float,
     ratios = power_ratios(cfg, k)
     band = cfg.same_band_tiers(k) if mode == "sinr" else ()
     noise_rate = eta_s * gamma_k * tier.noise_power / (tier.tx_power * g0_k)
-    inner_ok = [True]
 
     def f_of_l(l: np.ndarray) -> np.ndarray:
         assoc = np.zeros_like(l)
@@ -200,11 +214,8 @@ def _term(cfg: NetworkConfig, k: int, state: LinkState, gamma_k: float,
         logs = -(n_arr[:, None] * noise_rate) * l[None, :] - assoc[None, :]
         for j in band:
             for s_int in _STATES:
-                vals, ok = _interference_batch(
-                    cfg, k, j, s_int, gamma_k, l, n_arr, g0_k,
-                    excl_ratios[j], abs_tol=inner_abs_tol)
-                logs -= vals
-                inner_ok[0] = inner_ok[0] and ok
+                logs -= _interference_batch(cfg, k, j, s_int, gamma_k, l,
+                                            n_arr, g0_k, excl_ratios[j])
         return coefs @ np.exp(logs)
 
     # breakpoints in serving path loss from every competitor's kinks
@@ -233,14 +244,13 @@ def _term(cfg: NetworkConfig, k: int, state: LinkState, gamma_k: float,
         value += w * res.value
         err += w * res.error
         converged = converged and res.converged
-    return value, err, converged and inner_ok[0]
+    return value, err, converged
 
 
 def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
                   serving_gain_override: float | None = None,
                   exclusion_zone: str = "with_gains",
                   outer_abs_tol: float = 1e-7, outer_rel_tol: float = 1e-6,
-                  inner_abs_tol: float = 1e-8,
                   assoc: AssociationTable | None = None) -> CoverageCurve:
     """Coverage probability across a threshold grid.
 
@@ -265,7 +275,7 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
             excl = _exclusion_ratios(cfg, k, exclusion_zone)
             for col, state in enumerate(_STATES):
                 v, e, ok = _term(cfg, k, state, grid[i, k], g0_k, mode, excl,
-                                 outer_abs_tol, outer_rel_tol, inner_abs_tol)
+                                 outer_abs_tol, outer_rel_tol)
                 joint[i, k, col] = v
                 errs[i] += e
                 conv[i] = conv[i] and ok

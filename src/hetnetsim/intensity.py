@@ -109,9 +109,9 @@ def breakpoints(tier: TierConfig) -> tuple[float, ...]:
 
 
 def max_loss(tier: TierConfig, state: LinkState) -> float:
-    """Largest finite path loss the tier can present in the given state."""
-    segs = _segments(tier, state)
-    return segs[-1].hi_x if segs else 0.0
+    """Largest finite path loss the tier can present in the given state; with
+    per-ball kappa or alpha it need not be the outermost ball's."""
+    return max((s.hi_x for s in _segments(tier, state)), default=0.0)
 
 
 def total_mass(tier: TierConfig) -> float:

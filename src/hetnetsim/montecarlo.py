@@ -24,11 +24,10 @@ _BAND_INDEX = {Band.MMWAVE: 0, Band.MICROWAVE: 1}
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls; window_radius defaults to the largest outage radius."""
+    """Simulation controls."""
 
     drops: int
     seed: int
-    window_radius: float | None = None
     parallel_chunks: int = 1
 
     def validate(self, cfg: NetworkConfig) -> None:
@@ -36,11 +35,6 @@ class SimConfig:
             raise ValueError("drops must be >= 1")
         if self.parallel_chunks < 1 or self.parallel_chunks > self.drops:
             raise ValueError("chunks must be in [1, drops]")
-        r_max = max(t.outage_radius for t in cfg.tiers)
-        if self.window_radius is not None and self.window_radius < r_max:
-            raise ValueError(
-                f"window_radius {self.window_radius} below the largest outage "
-                f"radius {r_max}; stations beyond it carry no power either way")
 
 
 @dataclass(frozen=True)

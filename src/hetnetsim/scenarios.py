@@ -31,7 +31,7 @@ from .model import (AntennaPattern, Band, ConfigError, NetworkConfig,
                     with_balls, with_bias, with_density_scale)
 
 _TOLERANCES = {"outer_abs_tol": 1e-7, "outer_rel_tol": 1e-6,
-               "inner_abs_tol": 1e-8, "assoc_abs_tol": 1e-9}
+               "assoc_abs_tol": 1e-9}
 
 
 class Experiment(enum.Enum):
@@ -155,7 +155,6 @@ def load_scenario(path: str | Path) -> Scenario:
         mc_raw = raw["monte_carlo"]
         mc = montecarlo.SimConfig(
             drops=int(mc_raw["drops"]), seed=int(mc_raw.get("seed", 0)),
-            window_radius=mc_raw.get("window_radius"),
             parallel_chunks=int(mc_raw.get("chunks", 1)))
     mode = str(raw.get("mode", "sinr"))
     if mode not in ("sinr", "snr", "closed24"):
@@ -530,8 +529,7 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
         "grid": scn.grid,
         "monte_carlo": None if scn.monte_carlo is None else {
             "drops": scn.monte_carlo.drops, "seed": scn.monte_carlo.seed,
-            "chunks": scn.monte_carlo.parallel_chunks,
-            "window_radius": scn.monte_carlo.window_radius},
+            "chunks": scn.monte_carlo.parallel_chunks},
         "tolerances": _TOLERANCES,
         "flagged_points": int(sum(not ok for curve in curves
                                   for (_, _, ok) in curve.analytic)),

@@ -76,6 +76,20 @@ def test_monte_carlo_oracle_table1(table1):
     assert abs(outage - t.outage) <= 3.0 * max(outage_se, 1e-4)
 
 
+def test_loss_falling_between_balls_keeps_all_mass():
+    # the inner ball's kappa puts its edge loss (2.5e7) far above the outer
+    # ball's (1e4), so the support must end at the largest edge, not the last
+    tier = make_tier(density=2e-4, radii=(50.0, 100.0), betas=(1.0, 1.0))
+    balls = (replace(tier.balls[0], kappa_los=1e4, kappa_nlos=1e4),
+             replace(tier.balls[1], kappa_los=1.0, kappa_nlos=1.0))
+    cfg = make_network([replace(tier, balls=balls)])
+    t = association_table(cfg)
+    assert t.total + t.outage == pytest.approx(1.0, abs=t.error + 1e-9)
+    joint, joint_se, _, _ = empirical_association(
+        cfg, SimConfig(drops=200_000, seed=3))
+    assert abs(joint[0, 0] - t.joint[0, 0]) <= 4.0 * joint_se[0, 0]
+
+
 def test_closed_form_matches_quadrature():
     rng = np.random.default_rng(5)
     for _ in range(50):

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -62,26 +63,53 @@ def test_interference_term_vanishing_density():
 
 
 def test_interference_term_against_expectation_oracle():
-    # brute-force the defining expectation: integrate
-    # E_h[1 - exp(-u P G h / t)] against the flat squared-radius measure,
-    # averaging over Gamma fading samples and the three-point gain pmf
+    # the defining expectation by nested quadrature: E_h[1 - exp(-z h / t)]
+    # against the Gamma(N, 1/N) density of h, then over the flat
+    # squared-radius measure (t equals v here), summed over the gain pmf
     cfg = desk_config()
     tier = cfg.tiers[0]
     n, gamma = 2, 2.0
     l = 0.3 * 60.0 ** 2
     term = interference_term(cfg, 0, LinkState.LOS, 0, n, gamma, l)
 
-    rng = np.random.default_rng(77)
     n_fad = cfg.fading.n(LinkState.LOS)
-    h = rng.gamma(n_fad, 1.0 / n_fad, size=2_000_000)
-    v = np.linspace(l, 60.0 ** 2, 4001)      # t equals v here
-    acc = np.zeros_like(v)
+    log_norm = n_fad * math.log(n_fad) - math.lgamma(n_fad)
+
+    def fading_pdf(h):
+        return math.exp(log_norm + (n_fad - 1) * math.log(h) - n_fad * h)
+
+    def expectation(s):
+        return sp_integrate.quad(lambda h: -math.expm1(-s * h) * fading_pdf(h),
+                                 0.0, math.inf, epsabs=0.0, epsrel=1e-13)[0]
+
+    oracle = 0.0
     for gain, prob in cfg.interferer_gain_pmf(0):
         z = n * eta(n_fad) * gamma * gain * l / tier.serving_gain
-        vals = np.array([np.mean(-np.expm1(-(z / t) * h)) for t in v])
-        acc += prob * vals
-    oracle = math.pi * tier.density * np.trapezoid(acc, v)
-    assert term == pytest.approx(oracle, abs=1e-3)
+        oracle += prob * sp_integrate.quad(
+            lambda v: expectation(z / v), l, 60.0 ** 2,
+            epsabs=0.0, epsrel=1e-12)[0]
+    oracle *= math.pi * tier.density
+    assert term == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.8, 2.0 - 1e-6, 2.0, 2.0 + 1e-6,
+                                   2.6, 4.0, 4.5])
+def test_annulus_integral_against_mpmath(alpha):
+    # the per-annulus integral of 1 - (1 + c v^-delta)^-N at 40 digits, cut
+    # where c v^-delta = 1; c = 1e4 and 1e8 put that knee inside [v0, v1],
+    # and N = 40 checks the series split for strong fading
+    delta = alpha / 2.0
+    v0, v1 = 2500.0, 40000.0
+    for n in (1, 3, 5, 40):
+        assert coverage._annulus_integral(n, delta, 0.0, v0, v1) == 0.0
+        for c in (1e-6, 1.0, 1e4, 1e8):
+            got = float(coverage._annulus_integral(n, delta, c, v0, v1))
+            knee = min(max(c ** (1.0 / delta), v0), v1)
+            with mpmath.workdps(40):
+                exact = mpmath.quad(
+                    lambda v: 1 - (1 + c * v ** -mpmath.mpf(delta)) ** -n,
+                    sorted({v0, knee, v1}))
+            assert got == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
 def test_zero_threshold_limit_is_association_mass(table1):
@@ -114,8 +142,7 @@ def test_rayleigh_single_term_against_reference(table1):
                 for j, other in enumerate(cfg.tiers):
                     expo -= intensity.lambda_total(other, ratios[j] * l)
                     for s2 in (LinkState.LOS, LinkState.NLOS):
-                        expo -= interference_term(cfg, j, s2, k, 1, gamma, l,
-                                                  abs_tol=1e-12)
+                        expo -= interference_term(cfg, j, s2, k, 1, gamma, l)
                 return dens * math.exp(expo)
 
             hi = intensity.max_loss(tier, state)
@@ -134,7 +161,7 @@ def test_snr_equals_sinr_with_interference_removed(table1, monkeypatch):
 
     def no_interference(cfg, k, j, s_int, gamma_k, l, n_values, g0,
                         excl_ratio, **kw):
-        return np.zeros((np.size(n_values), np.size(l))), True
+        return np.zeros((np.size(n_values), np.size(l)))
 
     monkeypatch.setattr(coverage, "_interference_batch", no_interference)
     forced = sinr_coverage(table1, gammas)
@@ -267,6 +294,11 @@ def test_hybrid_single_microwave_tier_degenerates(hybrid):
     a = hybrid_coverage(solo, gammas)
     b = sinr_coverage(solo, gammas)
     assert np.allclose(a.probability, b.probability, atol=1e-12)
+
+
+def test_hybrid_high_thresholds_converge(hybrid):
+    gammas = [db_to_linear(x) for x in (15.0, 20.0)]
+    assert sinr_coverage(hybrid, gammas).converged.all()
 
 
 def test_hybrid_requires_two_bands(table1):
