@@ -9,11 +9,10 @@ from .association import (AssociationTable, association_approx,
                           association_closed_form_2tier, association_prob,
                           association_table, mean_load, outage_probability)
 from .coverage import (CoverageCurve, alignment_probability,
-                       coverage_with_beam_error, hybrid_coverage,
-                       interference_term, sinr_coverage, snr_coverage,
-                       snr_coverage_closed_form)
-from .intensity import (IntensityMeasure, breakpoints, lambda_density,
-                        lambda_split, lambda_total, max_loss, total_mass)
+                       coverage_with_beam_error, interference_term,
+                       sinr_coverage, snr_coverage, snr_coverage_closed_form)
+from .intensity import (breakpoints, lambda_density, lambda_split,
+                        lambda_total, max_loss, total_mass)
 from .metrics import (EnergyReport, energy_efficiency, equivalent_thresholds,
                       mean_loads, rate_coverage)
 from .model import (AntennaPattern, BallSpec, Band, ConfigError, FadingConfig,
@@ -22,10 +21,8 @@ from .model import (AntennaPattern, BallSpec, Band, ConfigError, FadingConfig,
                     load_config, network_from_dict, noise_power_w, validate,
                     watts_to_dbm, with_antenna, with_balls, with_bias,
                     with_density_scale)
-from .montecarlo import (DropBatch, DropResult, SimConfig,
-                         empirical_association, empirical_beam_error_coverage,
-                         empirical_coverage, empirical_rate_coverage,
-                         realize_drop, simulate)
+from .montecarlo import (DropBatch, SimConfig, empirical_association,
+                         empirical_coverage, empirical_rate_coverage, simulate)
 from .quadrature import IntegralResult, PiecewiseIntegrand, integrate
 from .scenarios import Experiment, Scenario, ScenarioResult, load_scenario, \
     run_scenario
@@ -33,21 +30,21 @@ from .scenarios import Experiment, Scenario, ScenarioResult, load_scenario, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaPattern", "AssociationTable", "BallSpec", "Band", "ConfigError",
-    "CoverageCurve", "DropBatch", "DropResult", "EnergyReport", "Experiment",
-    "FadingConfig", "IntegralResult", "IntensityMeasure", "LinkState",
+    "AntennaPattern", "AssociationTable", "BallSpec", "Band",
+    "ConfigError", "CoverageCurve", "DropBatch", "EnergyReport",
+    "Experiment", "FadingConfig", "IntegralResult", "LinkState",
     "NetworkConfig", "PiecewiseIntegrand", "Scenario", "ScenarioResult",
-    "SimConfig", "TierConfig", "alignment_probability", "association_approx",
-    "association_closed_form_2tier", "association_prob", "association_table",
-    "breakpoints", "bundled_config", "coverage_with_beam_error",
-    "db_to_linear", "dbm_to_watts", "empirical_association",
-    "empirical_beam_error_coverage", "empirical_coverage",
-    "empirical_rate_coverage", "energy_efficiency", "equivalent_thresholds",
-    "friis_kappa", "hybrid_coverage", "integrate", "interference_term",
-    "lambda_density", "lambda_split", "lambda_total", "linear_to_db",
-    "load_config", "load_scenario", "max_loss", "mean_load", "mean_loads",
-    "network_from_dict", "noise_power_w", "outage_probability",
-    "rate_coverage", "realize_drop", "run_scenario", "simulate",
+    "SimConfig", "TierConfig", "alignment_probability",
+    "association_approx", "association_closed_form_2tier",
+    "association_prob", "association_table", "breakpoints",
+    "bundled_config", "coverage_with_beam_error", "db_to_linear",
+    "dbm_to_watts", "empirical_association", "empirical_coverage",
+    "empirical_rate_coverage", "energy_efficiency",
+    "equivalent_thresholds", "friis_kappa", "integrate",
+    "interference_term", "lambda_density", "lambda_split", "lambda_total",
+    "linear_to_db", "load_config", "load_scenario", "max_loss",
+    "mean_load", "mean_loads", "network_from_dict", "noise_power_w",
+    "outage_probability", "rate_coverage", "run_scenario", "simulate",
     "sinr_coverage", "snr_coverage", "snr_coverage_closed_form",
     "total_mass", "validate", "watts_to_dbm", "with_antenna", "with_balls",
     "with_bias", "with_density_scale",

@@ -48,9 +48,6 @@ class AssociationTable:
     def total(self) -> float:
         return float(self.joint.sum())
 
-    def prob(self, k: int, state: LinkState) -> float:
-        return float(self.joint[k, 0 if state is LinkState.LOS else 1])
-
 
 def _association_integrand(cfg: NetworkConfig, k: int, state: LinkState,
                            ratios: np.ndarray):

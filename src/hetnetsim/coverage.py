@@ -294,17 +294,6 @@ def snr_coverage(cfg: NetworkConfig, thresholds, **kwargs) -> CoverageCurve:
     return sinr_coverage(cfg, thresholds, **kwargs)
 
 
-def hybrid_coverage(cfg: NetworkConfig, thresholds, **kwargs) -> CoverageCurve:
-    """SINR coverage of a mixed microwave/mmWave deployment.
-
-    Association spans all tiers; interference never crosses bands.  This is
-    sinr_coverage with the band bookkeeping made explicit at the call site.
-    """
-    if not cfg.is_hybrid:
-        raise ValueError("hybrid_coverage requires a microwave tier")
-    return sinr_coverage(cfg, thresholds, **kwargs)
-
-
 def _gauss_segment_integrals(p: float, c: float, x0: np.ndarray, x1: np.ndarray):
     """(int e^{-p x^2 - c x} dx, int x e^{-p x^2 - c x} dx) over [x0, x1].
 
@@ -437,14 +426,16 @@ def coverage_with_beam_error(cfg: NetworkConfig, thresholds,
     weights = (f_align ** 2, 2.0 * f_align * (1.0 - f_align), (1.0 - f_align) ** 2)
     gains = (mg * mg, mg * sg, sg * sg)
     assoc = kwargs.pop("assoc", None) or association_table(cfg)
-    parts = [sinr_coverage(cfg, thresholds, mode=mode,
-                           serving_gain_override=g, assoc=assoc, **kwargs)
-             for g in gains]
-    joint = sum(w * p.joint for w, p in zip(weights, parts))
+    # a part of weight zero (every part but the first at sigma 0) adds
+    # nothing, so it is neither computed nor consulted for convergence
+    parts = [(w, sinr_coverage(cfg, thresholds, mode=mode,
+                               serving_gain_override=g, assoc=assoc, **kwargs))
+             for w, g in zip(weights, gains) if w > 0.0]
+    joint = sum(w * p.joint for w, p in parts)
+    first = parts[0][1]
     return CoverageCurve(
-        x=parts[0].x, probability=joint.sum(axis=(1, 2)), joint=joint,
-        association=assoc,
-        error=sum(w * p.error for w, p in zip(weights, parts)),
-        converged=np.logical_and.reduce([p.converged for p in parts]),
-        mode=parts[0].mode, exclusion_zone=parts[0].exclusion_zone,
+        x=first.x, probability=joint.sum(axis=(1, 2)), joint=joint,
+        association=assoc, error=sum(w * p.error for w, p in parts),
+        converged=np.logical_and.reduce([p.converged for _, p in parts]),
+        mode=first.mode, exclusion_zone=first.exclusion_zone,
         meta={"sigma_be_rad": sigma_be_rad, "alignment_probability": f_align})

@@ -34,7 +34,8 @@ class _Segment:
 
 
 @lru_cache(maxsize=None)
-def _segments(tier: TierConfig, state: LinkState) -> tuple[_Segment, ...]:
+def state_segments(tier: TierConfig, state: LinkState) -> tuple[_Segment, ...]:
+    """Active path-loss segments of a tier in one state, in increasing order of radius."""
     segs = []
     prev_r = 0.0
     for ball in tier.balls:
@@ -49,16 +50,11 @@ def _segments(tier: TierConfig, state: LinkState) -> tuple[_Segment, ...]:
     return tuple(segs)
 
 
-def state_segments(tier: TierConfig, state: LinkState) -> tuple[_Segment, ...]:
-    """Active path-loss segments of a tier in one state, in increasing order of radius."""
-    return _segments(tier, state)
-
-
 def lambda_split(tier: TierConfig, state: LinkState, x) -> np.ndarray | float:
     """Lambda_{k,s}([0, x)): mean number of state-s BSs with path loss below x."""
     xa = np.asarray(x, dtype=float)
     out = np.zeros_like(xa)
-    for s in _segments(tier, state):
+    for s in state_segments(tier, state):
         r2 = np.clip((np.maximum(xa, 0.0) / s.kappa) ** (2.0 / s.alpha), s.lo_r2, s.hi_r2)
         out = out + s.weight * (r2 - s.lo_r2)
     out = math.pi * tier.density * out
@@ -80,7 +76,7 @@ def lambda_density(tier: TierConfig, state: LinkState, x) -> np.ndarray | float:
     """
     xa = np.asarray(x, dtype=float)
     out = np.zeros_like(xa)
-    for s in _segments(tier, state):
+    for s in state_segments(tier, state):
         inside = (xa >= s.lo_x) & (xa < s.hi_x) & (xa > 0.0)
         if np.any(inside):
             xs = xa[inside] if xa.ndim else xa
@@ -102,7 +98,7 @@ def breakpoints(tier: TierConfig) -> tuple[float, ...]:
     """
     pts = set()
     for state in _STATES:
-        for s in _segments(tier, state):
+        for s in state_segments(tier, state):
             pts.add(s.lo_x)
             pts.add(s.hi_x)
     return tuple(sorted(p for p in pts if p > 0.0))
@@ -111,33 +107,9 @@ def breakpoints(tier: TierConfig) -> tuple[float, ...]:
 def max_loss(tier: TierConfig, state: LinkState) -> float:
     """Largest finite path loss the tier can present in the given state; with
     per-ball kappa or alpha it need not be the outermost ball's."""
-    return max((s.hi_x for s in _segments(tier, state)), default=0.0)
+    return max((s.hi_x for s in state_segments(tier, state)), default=0.0)
 
 
 def total_mass(tier: TierConfig) -> float:
     """Lambda_k([0, inf)) = pi * lambda_k * R_kD^2, the mean non-outage count."""
     return math.pi * tier.density * tier.outage_radius ** 2
-
-
-@dataclass(frozen=True)
-class IntensityMeasure:
-    """Evaluator handle bundling a tier's intensity functions and breakpoints."""
-
-    tier: TierConfig
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return breakpoints(self.tier)
-
-    @property
-    def total_mass(self) -> float:
-        return total_mass(self.tier)
-
-    def total(self, x):
-        return lambda_total(self.tier, x)
-
-    def split(self, state: LinkState, x):
-        return lambda_split(self.tier, state, x)
-
-    def density(self, state: LinkState, x):
-        return lambda_density(self.tier, state, x)

@@ -179,34 +179,6 @@ class TierConfig:
     def outage_radius(self) -> float:
         return self.balls[-1].radius
 
-    def ball_at(self, r: float) -> BallSpec | None:
-        """Ball whose annulus contains distance r, or None beyond the last."""
-        for ball in self.balls:
-            if r < ball.radius:
-                return ball
-        return None
-
-
-def los_probability(tier: TierConfig, r: float) -> float | LinkState:
-    """LOS probability at distance r, or LinkState.OUTAGE past the last ball."""
-    if r < 0:
-        raise ValueError(f"distance must be non-negative, got {r}")
-    ball = tier.ball_at(r)
-    if ball is None:
-        return LinkState.OUTAGE
-    return ball.los_prob
-
-
-def path_loss(tier: TierConfig, ball_index: int, state: LinkState, r: float) -> float:
-    """Path loss kappa * r**alpha for a link in a given ball and state."""
-    if state is LinkState.OUTAGE:
-        raise ValueError("path loss is undefined for outage links")
-    ball = tier.balls[ball_index]
-    lo = tier.balls[ball_index - 1].radius if ball_index > 0 else 0.0
-    if not (lo <= r <= ball.radius):
-        raise ValueError(f"distance {r} outside ball {ball_index} annulus [{lo}, {ball.radius}]")
-    return ball.kappa(state) * r ** ball.alpha(state)
-
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -246,20 +218,22 @@ class NetworkConfig:
         return replace(self, tiers=tuple(self.tiers[i] for i in indices))
 
 
-def _serving_gain(cfg: NetworkConfig, tier: TierConfig) -> float:
-    if tier.band is Band.MICROWAVE:
-        if cfg.mu_pattern is None:
-            raise ConfigError("microwave tier requires mu_antenna pattern")
-        return cfg.mu_pattern.main_gain * cfg.pattern.main_gain
-    return cfg.pattern.main_gain * cfg.pattern.main_gain
+def _serving_gain(band: Band, pattern: AntennaPattern,
+                  mu_pattern: AntennaPattern | None, where: str) -> float:
+    """Aligned gain: the band's BS main lobe times the mmWave UE main lobe."""
+    if band is Band.MICROWAVE:
+        if mu_pattern is None:
+            raise ConfigError(f"{where}: microwave tier requires mu_antenna")
+        return mu_pattern.main_gain * pattern.main_gain
+    return pattern.main_gain * pattern.main_gain
 
 
 def with_antenna(cfg: NetworkConfig, pattern: AntennaPattern) -> NetworkConfig:
     """New config with the mmWave pattern replaced; serving gains follow."""
-    out = replace(cfg, pattern=pattern)
-    tiers = tuple(replace(t, serving_gain=_serving_gain(out, t))
-                  for t in out.tiers)
-    return replace(out, tiers=tiers)
+    tiers = tuple(replace(t, serving_gain=_serving_gain(
+        t.band, pattern, cfg.mu_pattern, f"tiers[{k}]"))
+        for k, t in enumerate(cfg.tiers))
+    return replace(cfg, pattern=pattern, tiers=tiers)
 
 
 def with_bias(cfg: NetworkConfig, bias: dict[int, float]) -> NetworkConfig:
@@ -400,12 +374,6 @@ def network_from_dict(raw: dict) -> NetworkConfig:
                     kappa_los=kl,
                     kappa_nlos=kn,
                 ))
-            if band is Band.MICROWAVE:
-                if mu_pattern is None:
-                    raise ConfigError(f"{where}: microwave tier requires mu_antenna")
-                serving_gain = mu_pattern.main_gain * pattern.main_gain
-            else:
-                serving_gain = pattern.main_gain * pattern.main_gain
             tiers.append(TierConfig(
                 density=float(traw["density_per_m2"]),
                 tx_power=dbm_to_watts(float(traw["tx_power_dbm"])),
@@ -414,7 +382,7 @@ def network_from_dict(raw: dict) -> NetworkConfig:
                 noise_power=noise_power_w(
                     tier_bandwidth, float(traw.get("noise_figure_db", 0.0)),
                     float(traw.get("psd_dbm_hz", NOISE_PSD_DBM_HZ))),
-                serving_gain=serving_gain,
+                serving_gain=_serving_gain(band, pattern, mu_pattern, where),
                 static_power=float(traw.get("static_power_w", 0.0)),
                 amp_slope=float(traw.get("amp_slope", 1.0)),
                 band=band,

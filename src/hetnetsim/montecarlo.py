@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Band, LinkState, NetworkConfig
+from .model import Band, NetworkConfig
 
 _BAND_INDEX = {Band.MMWAVE: 0, Band.MICROWAVE: 1}
 
@@ -51,16 +51,6 @@ class DropBatch:
     @property
     def n_drops(self) -> int:
         return self.tier.size
-
-
-@dataclass(frozen=True)
-class DropResult:
-    tier: int               # -1 on outage
-    state: LinkState
-    path_loss: float
-    sinr: float
-    snr: float
-    rate: float
 
 
 def _segmented(op, values: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
@@ -211,22 +201,6 @@ def simulate(cfg: NetworkConfig, sim: SimConfig, *, sigma_be_rad: float = 0.0,
                                  "rate")))
 
 
-def realize_drop(cfg: NetworkConfig, sim: SimConfig,
-                 rng: np.random.Generator | None = None,
-                 loads=None) -> DropResult:
-    """One network drop; the single-drop view of the chunk kernel."""
-    sim.validate(cfg)
-    if rng is None:
-        rng = _chunk_rng(sim.seed, 0)
-    batch = _simulate_with_rng(cfg, 1, rng, 0.0, _resolve_loads(cfg, loads))
-    state = (LinkState.OUTAGE if batch.tier[0] < 0
-             else (LinkState.LOS if batch.state[0] == 0 else LinkState.NLOS))
-    return DropResult(tier=int(batch.tier[0]), state=state,
-                      path_loss=float(batch.path_loss[0]),
-                      sinr=float(batch.sinr[0]), snr=float(batch.snr[0]),
-                      rate=float(batch.rate[0]))
-
-
 def _proportion(hits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     p = hits / n
     return p, np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
@@ -264,14 +238,6 @@ def empirical_coverage(cfg: NetworkConfig, sim: SimConfig, thresholds, *,
     grid = np.atleast_1d(np.asarray(thresholds, dtype=float))
     hits = np.array([np.count_nonzero(field > g) for g in grid], dtype=float)
     return _proportion(hits, batch.n_drops)
-
-
-def empirical_beam_error_coverage(cfg: NetworkConfig, sim: SimConfig,
-                                  sigma_be_rad: float, thresholds, *,
-                                  mode: str = "sinr", workers: int = 1):
-    """Coverage with per-drop Gaussian misalignment at both link ends."""
-    return empirical_coverage(cfg, sim, thresholds, mode=mode,
-                              sigma_be_rad=sigma_be_rad, workers=workers)
 
 
 def empirical_rate_coverage(cfg: NetworkConfig, sim: SimConfig, rates, *,

@@ -21,17 +21,20 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from . import association, coverage, metrics, montecarlo
-from .model import (AntennaPattern, Band, ConfigError, NetworkConfig,
+from .model import (Band, ConfigError, NetworkConfig,
                     db_to_linear, network_from_dict, with_antenna,
                     with_balls, with_bias, with_density_scale)
 
 _TOLERANCES = {"outer_abs_tol": 1e-7, "outer_rel_tol": 1e-6,
                "assoc_abs_tol": 1e-9}
+
+_SCENARIO_KEYS = ("name", "experiment", "config", "grid", "mode",
+                  "exclusion_zone", "monte_carlo", "output_dir", "workers")
 
 
 class Experiment(enum.Enum):
@@ -45,21 +48,6 @@ class Experiment(enum.Enum):
     ASSOC_VS_BIAS = "ASSOC_VS_BIAS"
     HYBRID_BIAS = "HYBRID_BIAS"
     HYBRID_DENSITY = "HYBRID_DENSITY"
-
-
-# grid keys that must be present (and non-empty where lists) per experiment
-_REQUIRED_KEYS = {
-    Experiment.SINR_VS_SNR: ("threshold_db",),
-    Experiment.GAIN_SWEEP: ("threshold_db", "main_gain_db"),
-    Experiment.BALL_PARAMS: ("threshold_db", "variants"),
-    Experiment.BIAS_SWEEP: ("bias_db",),
-    Experiment.BEAM_ERROR: ("threshold_db", "sigma_be_deg"),
-    Experiment.RATE: ("rate_bps",),
-    Experiment.ENERGY: ("bias_db",),
-    Experiment.ASSOC_VS_BIAS: ("bias_db",),
-    Experiment.HYBRID_BIAS: ("threshold_db", "bias_db"),
-    Experiment.HYBRID_DENSITY: ("threshold_db", "density_mult"),
-}
 
 
 @dataclass(frozen=True)
@@ -93,12 +81,20 @@ def _as_list(grid: dict, key: str) -> list:
     return list(value)
 
 
+def _check_keys(where: str, raw: dict, known) -> None:
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {', '.join(unknown)}")
+
+
 def _validate_grid(experiment: Experiment, grid: dict) -> None:
-    missing = [k for k in _REQUIRED_KEYS[experiment] if k not in grid]
+    required, optional, _ = _EXPERIMENTS[experiment]
+    missing = [k for k in required if k not in grid]
     if missing:
         raise ConfigError(
             f"{experiment.value} grid is missing keys: {', '.join(missing)}")
-    for key in _REQUIRED_KEYS[experiment]:
+    _check_keys(f"{experiment.value} grid", grid, required + optional)
+    for key in required:
         _as_list(grid, key)
 
 
@@ -118,6 +114,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for key in ("name", "experiment", "config", "grid"):
         if key not in raw:
             raise ConfigError(f"scenario is missing required key '{key}'")
+    _check_keys("scenario", raw, _SCENARIO_KEYS)
     try:
         experiment = Experiment(str(raw["experiment"]))
     except ValueError:
@@ -153,6 +150,7 @@ def load_scenario(path: str | Path) -> Scenario:
     mc = None
     if raw.get("monte_carlo") is not None:
         mc_raw = raw["monte_carlo"]
+        _check_keys("monte_carlo", mc_raw, ("drops", "seed", "chunks"))
         mc = montecarlo.SimConfig(
             drops=int(mc_raw["drops"]), seed=int(mc_raw.get("seed", 0)),
             parallel_chunks=int(mc_raw.get("chunks", 1)))
@@ -169,79 +167,101 @@ def load_scenario(path: str | Path) -> Scenario:
                     config_path=config_path, config_raw=config_raw)
 
 
-# ---------------------------------------------------------------------------
-# point evaluation (top-level functions so they pickle into worker processes)
 
-def _eval_analytic(job: dict) -> tuple[float, float, bool]:
+
+# ---------------------------------------------------------------------------
+# curves and jobs (jobs are tuples of module-level types, so they pickle into
+# worker processes)
+
+@dataclass(frozen=True)
+class _Metric:
+    """What every point of one curve computes."""
+
+    kind: str                 # coverage, closed24, beam, rate, ee or assoc
+    mode: str                 # sinr or snr; also the Monte Carlo statistic
+    exclusion_zone: str
+    sigma: float = 0.0        # beam pointing error, radians
+    tier: int = 0             # association tier
+
+
+@dataclass(frozen=True)
+class _Curve:
+    filename: str
+    metric: _Metric
+    points: list[tuple[float, NetworkConfig, Any]]  # (CSV x, config, argument)
+
+
+def _metric(scn: Scenario, kind: str, mode: str | None = None, *,
+            sigma: float = 0.0, tier: int = 0) -> _Metric:
+    """The metric of one curve under the scenario's mode.
+
+    Under closed24, noise-limited coverage takes the (2, 4) closed form,
+    SINR coverage stays on quadrature, and beam, rate and energy metrics,
+    which have no closed form, are refused before anything runs.
+    """
+    mode = mode or scn.mode
+    if scn.mode == "closed24" and kind == "coverage" and mode != "sinr":
+        kind, mode = "closed24", "snr"
+    elif scn.mode == "closed24" and kind in ("beam", "rate", "ee"):
+        raise ConfigError(
+            "mode closed24 applies only to coverage threshold sweeps")
+    return _Metric(kind, mode, scn.exclusion_zone, sigma, tier)
+
+
+def _eval_analytic(job: tuple) -> tuple[float, float, bool]:
     """Evaluate one analytic grid point; returns (value, error, converged)."""
-    kind = job["kind"]
-    cfg: NetworkConfig = job["cfg"]
-    if kind == "coverage":
-        curve = coverage.sinr_coverage(
-            cfg, [job["threshold"]], mode=job["mode"],
-            exclusion_zone=job["exclusion_zone"])
-    elif kind == "beam":
-        curve = coverage.coverage_with_beam_error(
-            cfg, [job["threshold"]], sigma_be_rad=job["sigma"],
-            mode=job["mode"], exclusion_zone=job["exclusion_zone"])
-    elif kind == "closed24":
-        curve = coverage.snr_coverage_closed_form(cfg, [job["threshold"]])
-    elif kind == "rate":
-        curve = metrics.rate_coverage(
-            cfg, [job["rate"]], mode=job["mode"],
-            exclusion_zone=job["exclusion_zone"])
-    elif kind == "assoc":
+    metric, cfg, x = job
+    kw = {"mode": metric.mode, "exclusion_zone": metric.exclusion_zone}
+    if metric.kind == "assoc":
         table = association.association_table(cfg)
-        return (float(table.per_tier[job["tier"]]), float(table.error),
+        return (float(table.per_tier[metric.tier]), float(table.error),
                 bool(table.converged))
-    elif kind == "ee":
-        report = metrics.energy_efficiency(
-            cfg, job["threshold"], mode=job["mode"],
-            exclusion_zone=job["exclusion_zone"])
+    if metric.kind == "ee":
+        report = metrics.energy_efficiency(cfg, x, **kw)
         return report.energy_efficiency, report.error, report.converged
+    if metric.kind == "closed24":
+        curve = coverage.snr_coverage_closed_form(cfg, [x])
+    elif metric.kind == "beam":
+        curve = coverage.coverage_with_beam_error(
+            cfg, [x], sigma_be_rad=metric.sigma, **kw)
+    elif metric.kind == "rate":
+        curve = metrics.rate_coverage(cfg, [x], **kw)
     else:
-        raise ValueError(f"unknown job kind {kind!r}")
+        curve = coverage.sinr_coverage(cfg, [x], **kw)
     return (float(curve.probability[0]), float(curve.error[0]),
             bool(curve.converged[0]))
 
 
-def _eval_mc(job: dict) -> tuple[list[float], list[float]]:
+def _eval_mc(job: tuple) -> tuple[list[float], list[float]]:
     """Evaluate one Monte Carlo job; returns (values, standard errors)."""
-    kind = job["kind"]
-    cfg: NetworkConfig = job["cfg"]
-    sim: montecarlo.SimConfig = job["sim"]
-    if kind == "mc_coverage":
-        probs, ses = montecarlo.empirical_coverage(
-            cfg, sim, job["thresholds"], mode=job["mode"],
-            sigma_be_rad=job.get("sigma", 0.0))
-        return list(map(float, probs)), list(map(float, ses))
-    if kind == "mc_rate":
-        probs, ses = montecarlo.empirical_rate_coverage(cfg, sim, job["rates"])
-        return list(map(float, probs)), list(map(float, ses))
-    if kind == "mc_assoc":
+    metric, cfg, xs, sim = job
+    if metric.kind == "assoc":
         joint, _, _, _ = montecarlo.empirical_association(cfg, sim)
-        p = float(joint[job["tier"]].sum())
+        p = float(joint[metric.tier].sum())
         se = math.sqrt(max(p * (1.0 - p), 0.0) / sim.drops)
-        return [p], [se]
-    raise ValueError(f"unknown job kind {kind!r}")
+        return [p] * len(xs), [se] * len(xs)
+    if metric.kind == "rate":
+        probs, ses = montecarlo.empirical_rate_coverage(cfg, sim, xs)
+    else:
+        probs, ses = montecarlo.empirical_coverage(
+            cfg, sim, xs, mode=metric.mode, sigma_be_rad=metric.sigma)
+    return list(map(float, probs)), list(map(float, ses))
 
 
-@dataclass
-class _Curve:
-    filename: str
-    xs: list[float]
-    jobs: list[dict]                       # one analytic job per x
-    mc_curve_job: dict | None = None       # one job yielding len(xs) values
-    mc_point_jobs: list[dict] | None = None  # one job per x, one value each
-    # filled by the runner:
-    analytic: list[tuple[float, float, bool]] = field(default_factory=list)
-    mc: list[float] | None = None
-    mc_se: list[float] | None = None
+def _mc_jobs(curve: _Curve, sim: montecarlo.SimConfig | None) -> list[tuple]:
+    """One Monte Carlo job per run of consecutive points sharing a config.
 
-
-def _tier_label(cfg: NetworkConfig, k: int) -> str:
-    name = cfg.tiers[k].name
-    return name if name else f"tier{k}"
+    Energy efficiency has no Monte Carlo estimator.
+    """
+    if sim is None or curve.metric.kind == "ee":
+        return []
+    jobs: list[tuple] = []
+    for _, cfg, arg in curve.points:
+        if jobs and jobs[-1][1] is cfg:
+            jobs[-1][2].append(arg)
+        else:
+            jobs.append((curve.metric, cfg, [arg], sim))
+    return jobs
 
 
 def _tag(value: float) -> str:
@@ -253,19 +273,6 @@ def _tag(value: float) -> str:
     return text.replace("-", "m").replace(".", "p")
 
 
-def _coverage_jobs(cfg: NetworkConfig, thresholds_db: Sequence[float],
-                   mode: str, exclusion: str) -> list[dict]:
-    return [{"kind": "coverage", "cfg": cfg, "threshold": db_to_linear(t),
-             "mode": mode, "exclusion_zone": exclusion}
-            for t in thresholds_db]
-
-
-def _mc_coverage_job(cfg, sim, thresholds_db, mode, sigma=0.0) -> dict:
-    return {"kind": "mc_coverage", "cfg": cfg, "sim": sim,
-            "thresholds": [db_to_linear(t) for t in thresholds_db],
-            "mode": "snr" if mode == "closed24" else mode, "sigma": sigma}
-
-
 def _scalar_threshold_db(grid: dict) -> float:
     value = grid.get("threshold_db", 0.0)
     if isinstance(value, (list, tuple)):
@@ -275,168 +282,146 @@ def _scalar_threshold_db(grid: dict) -> float:
     return float(value)
 
 
-def _build_curves(scn: Scenario) -> list[_Curve]:
-    cfg, grid = scn.config, scn.grid
-    exp, mode, excl = scn.experiment, scn.mode, scn.exclusion_zone
-    mc = scn.monte_carlo
-    curves: list[_Curve] = []
+def _band_tiers(scn: Scenario, band: Band) -> list[int]:
+    if not scn.config.is_hybrid:
+        raise ConfigError(f"{scn.experiment.value} requires a hybrid config")
+    return [i for i, t in enumerate(scn.config.tiers) if t.band is band]
 
-    if exp is Experiment.SINR_VS_SNR:
-        th = [float(t) for t in _as_list(grid, "threshold_db")]
-        counts = grid.get("tier_counts", list(range(1, cfg.n_tiers + 1)))
-        for n in counts:
-            sub = cfg.subset(tuple(range(int(n))))
-            for m in ("sinr", "snr"):
-                curve = _Curve(f"{m}_tiers{int(n)}.csv", th,
-                               _coverage_jobs(sub, th, m, excl))
-                if mc is not None:
-                    curve.mc_curve_job = _mc_coverage_job(sub, mc, th, m)
-                curves.append(curve)
 
-    elif exp is Experiment.GAIN_SWEEP:
-        th = [float(t) for t in _as_list(grid, "threshold_db")]
-        for g_db in _as_list(grid, "main_gain_db"):
-            pat = AntennaPattern(main_gain=db_to_linear(float(g_db)),
-                                 side_gain=cfg.pattern.side_gain,
-                                 beamwidth_rad=cfg.pattern.beamwidth_rad)
-            sub = with_antenna(cfg, pat)
-            curve = _Curve(f"cov_gain{_tag(g_db)}db.csv", th,
-                           _coverage_jobs(sub, th, mode, excl))
-            if mc is not None:
-                curve.mc_curve_job = _mc_coverage_job(sub, mc, th, mode)
-            curves.append(curve)
+# ---------------------------------------------------------------------------
+# experiments: each builds its curves; six sweep threshold_db per config and
+# four build one config per x
 
-    elif exp is Experiment.BALL_PARAMS:
-        th = [float(t) for t in _as_list(grid, "threshold_db")]
-        for var in _as_list(grid, "variants"):
-            sub = with_balls(cfg, int(var.get("tier", 0)),
-                             var["radii"], var["los_prob"])
-            curve = _Curve(f"cov_{var['name']}.csv", th,
-                           _coverage_jobs(sub, th, mode, excl))
-            if mc is not None:
-                curve.mc_curve_job = _mc_coverage_job(sub, mc, th, mode)
-            curves.append(curve)
+def _threshold_curves(scn: Scenario, curves: list[tuple]) -> list[_Curve]:
+    """One curve over grid.threshold_db per (filename, config, metric)."""
+    th = [float(t) for t in scn.grid["threshold_db"]]
+    return [_Curve(name, metric, [(t, cfg, db_to_linear(t)) for t in th])
+            for name, cfg, metric in curves]
 
-    elif exp is Experiment.BIAS_SWEEP:
-        biases = [float(b) for b in _as_list(grid, "bias_db")]
-        swept = [int(i) for i in grid.get("tiers", range(1, cfg.n_tiers))]
-        th_db = _scalar_threshold_db(grid)
-        configs = [with_bias(cfg, {i: db_to_linear(b) for i in swept})
-                   for b in biases]
-        cov = _Curve("coverage_vs_bias.csv", biases,
-                     [{"kind": "coverage", "cfg": c,
-                       "threshold": db_to_linear(th_db), "mode": mode,
-                       "exclusion_zone": excl} for c in configs])
-        if mc is not None:
-            cov.mc_point_jobs = [_mc_coverage_job(c, mc, [th_db], mode)
-                                 for c in configs]
-        curves.append(cov)
-        for k in range(cfg.n_tiers):
-            curve = _Curve(f"assoc_{_tier_label(cfg, k)}_vs_bias.csv", biases,
-                           [{"kind": "assoc", "cfg": c, "tier": k}
-                            for c in configs])
-            if mc is not None:
-                curve.mc_point_jobs = [{"kind": "mc_assoc", "cfg": c,
-                                        "sim": mc, "tier": k} for c in configs]
-            curves.append(curve)
 
-    elif exp is Experiment.BEAM_ERROR:
-        th = [float(t) for t in _as_list(grid, "threshold_db")]
-        for s_deg in _as_list(grid, "sigma_be_deg"):
-            sigma = math.radians(float(s_deg))
-            curve = _Curve(
-                f"cov_sigma{_tag(s_deg)}deg.csv", th,
-                [{"kind": "beam", "cfg": cfg, "threshold": db_to_linear(t),
-                  "sigma": sigma, "mode": mode, "exclusion_zone": excl}
-                 for t in th])
-            if mc is not None:
-                curve.mc_curve_job = _mc_coverage_job(cfg, mc, th, mode,
-                                                      sigma=sigma)
-            curves.append(curve)
+def _bias_curves(scn: Scenario, base: NetworkConfig, tiers: list[int],
+                 curves: list[tuple]) -> list[_Curve]:
+    """One curve over grid.bias_db per (filename, metric, argument).
 
-    elif exp is Experiment.RATE:
-        rates = [float(r) for r in _as_list(grid, "rate_bps")]
-        curve = _Curve("rate_coverage.csv", rates,
-                       [{"kind": "rate", "cfg": cfg, "rate": r, "mode": mode,
-                         "exclusion_zone": excl} for r in rates])
-        if mc is not None:
-            curve.mc_curve_job = {"kind": "mc_rate", "cfg": cfg, "sim": mc,
-                                  "rates": rates}
-        curves.append(curve)
+    The config at each bias is `base` with `tiers` biased by it.
+    """
+    biases = [float(b) for b in scn.grid["bias_db"]]
+    configs = [with_bias(base, {i: db_to_linear(b) for i in tiers})
+               for b in biases]
+    return [_Curve(name, metric, [(b, cfg, arg)
+                                  for b, cfg in zip(biases, configs)])
+            for name, metric, arg in curves]
 
-    elif exp is Experiment.ENERGY:
-        biases = [float(b) for b in _as_list(grid, "bias_db")]
-        tier = int(grid.get("tier", cfg.n_tiers - 1))
-        th_db = _scalar_threshold_db(grid)
-        variants = [{"name": "base"}] + list(grid.get("variants", []))
-        for var in variants:
-            base = cfg
-            scale = var.get("density_scale")
-            if scale:
-                base = with_density_scale(
-                    base, {int(i): float(m) for i, m in scale.items()})
-            configs = [with_bias(base, {tier: db_to_linear(b)})
-                       for b in biases]
-            curves.append(_Curve(
-                f"ee_{var['name']}.csv", biases,
-                [{"kind": "ee", "cfg": c, "threshold": db_to_linear(th_db),
-                  "mode": mode, "exclusion_zone": excl} for c in configs]))
 
-    elif exp is Experiment.ASSOC_VS_BIAS:
-        biases = [float(b) for b in _as_list(grid, "bias_db")]
-        tier = int(grid.get("tier", cfg.n_tiers - 1))
-        configs = [with_bias(cfg, {tier: db_to_linear(b)}) for b in biases]
-        for k in range(cfg.n_tiers):
-            curve = _Curve(f"assoc_{_tier_label(cfg, k)}.csv", biases,
-                           [{"kind": "assoc", "cfg": c, "tier": k}
-                            for c in configs])
-            if mc is not None:
-                curve.mc_point_jobs = [{"kind": "mc_assoc", "cfg": c,
-                                        "sim": mc, "tier": k} for c in configs]
-            curves.append(curve)
+def _assoc_curves(scn: Scenario, suffix: str) -> list[tuple]:
+    tiers = scn.config.tiers
+    return [(f"assoc_{t.name or f'tier{k}'}{suffix}.csv",
+             _metric(scn, "assoc", tier=k), None)
+            for k, t in enumerate(tiers)]
 
-    elif exp is Experiment.HYBRID_BIAS:
-        if not cfg.is_hybrid:
-            raise ConfigError("HYBRID_BIAS requires a hybrid config")
-        th = [float(t) for t in _as_list(grid, "threshold_db")]
-        mm = [i for i, t in enumerate(cfg.tiers) if t.band is Band.MMWAVE]
-        for b_db in _as_list(grid, "bias_db"):
-            sub = with_bias(cfg, {i: db_to_linear(float(b_db)) for i in mm})
-            curve = _Curve(f"cov_bias{_tag(b_db)}db.csv", th,
-                           _coverage_jobs(sub, th, mode, excl))
-            if mc is not None:
-                curve.mc_curve_job = _mc_coverage_job(sub, mc, th, mode)
-            curves.append(curve)
 
-    elif exp is Experiment.HYBRID_DENSITY:
-        if not cfg.is_hybrid:
-            raise ConfigError("HYBRID_DENSITY requires a hybrid config")
-        th = [float(t) for t in _as_list(grid, "threshold_db")]
-        micro = next(i for i, t in enumerate(cfg.tiers)
-                     if t.band is Band.MICROWAVE)
-        for mult in _as_list(grid, "density_mult"):
-            sub = with_density_scale(cfg, {micro: float(mult)})
-            curve = _Curve(f"cov_density{_tag(mult)}x.csv", th,
-                           _coverage_jobs(sub, th, mode, excl))
-            if mc is not None:
-                curve.mc_curve_job = _mc_coverage_job(sub, mc, th, mode)
-            curves.append(curve)
+def _sinr_vs_snr(scn: Scenario) -> list[_Curve]:
+    counts = scn.grid.get("tier_counts", range(1, scn.config.n_tiers + 1))
+    return _threshold_curves(scn, [
+        (f"{m}_tiers{int(n)}.csv", scn.config.subset(tuple(range(int(n)))),
+         _metric(scn, "coverage", m))
+        for n in counts for m in ("sinr", "snr")])
 
-    else:  # pragma: no cover - enum is exhaustive
-        raise ConfigError(f"unhandled experiment {exp}")
 
-    if scn.mode == "closed24":
-        # closed-form evaluation replaces quadrature for noise-limited sweeps
-        for curve in curves:
-            for job in curve.jobs:
-                kind, jmode = job["kind"], job.get("mode")
-                if kind == "coverage" and jmode in ("snr", "closed24"):
-                    job["kind"] = "closed24"
-                elif jmode == "closed24":
-                    raise ConfigError(
-                        "mode closed24 applies only to coverage threshold sweeps")
+def _gain_sweep(scn: Scenario) -> list[_Curve]:
+    cfg = scn.config
+    return _threshold_curves(scn, [
+        (f"cov_gain{_tag(g)}db.csv", with_antenna(cfg, replace(
+            cfg.pattern, main_gain=db_to_linear(float(g)))),
+         _metric(scn, "coverage")) for g in scn.grid["main_gain_db"]])
+
+
+def _ball_params(scn: Scenario) -> list[_Curve]:
+    return _threshold_curves(scn, [
+        (f"cov_{v['name']}.csv", with_balls(scn.config, int(v.get("tier", 0)),
+                                            v["radii"], v["los_prob"]),
+         _metric(scn, "coverage")) for v in scn.grid["variants"]])
+
+
+def _beam_error(scn: Scenario) -> list[_Curve]:
+    return _threshold_curves(scn, [
+        (f"cov_sigma{_tag(s)}deg.csv", scn.config,
+         _metric(scn, "beam", sigma=math.radians(float(s))))
+        for s in scn.grid["sigma_be_deg"]])
+
+
+def _hybrid_bias(scn: Scenario) -> list[_Curve]:
+    mm = _band_tiers(scn, Band.MMWAVE)
+    return _threshold_curves(scn, [
+        (f"cov_bias{_tag(b)}db.csv",
+         with_bias(scn.config, {i: db_to_linear(float(b)) for i in mm}),
+         _metric(scn, "coverage")) for b in scn.grid["bias_db"]])
+
+
+def _hybrid_density(scn: Scenario) -> list[_Curve]:
+    micro = _band_tiers(scn, Band.MICROWAVE)[0]
+    return _threshold_curves(scn, [
+        (f"cov_density{_tag(m)}x.csv",
+         with_density_scale(scn.config, {micro: float(m)}),
+         _metric(scn, "coverage")) for m in scn.grid["density_mult"]])
+
+
+def _bias_sweep(scn: Scenario) -> list[_Curve]:
+    threshold = db_to_linear(_scalar_threshold_db(scn.grid))
+    tiers = [int(i)
+             for i in scn.grid.get("tiers", range(1, scn.config.n_tiers))]
+    return _bias_curves(scn, scn.config, tiers, [
+        ("coverage_vs_bias.csv", _metric(scn, "coverage"), threshold)]
+        + _assoc_curves(scn, "_vs_bias"))
+
+
+def _assoc_vs_bias(scn: Scenario) -> list[_Curve]:
+    tier = int(scn.grid.get("tier", scn.config.n_tiers - 1))
+    return _bias_curves(scn, scn.config, [tier], _assoc_curves(scn, ""))
+
+
+def _energy(scn: Scenario) -> list[_Curve]:
+    threshold = db_to_linear(_scalar_threshold_db(scn.grid))
+    tier = int(scn.grid.get("tier", scn.config.n_tiers - 1))
+    metric = _metric(scn, "ee")
+    curves = []
+    for var in [{"name": "base"}] + list(scn.grid.get("variants", [])):
+        scale = var.get("density_scale") or {}
+        base = with_density_scale(
+            scn.config, {int(i): float(m) for i, m in scale.items()})
+        curves += _bias_curves(scn, base, [tier], [
+            (f"ee_{var['name']}.csv", metric, threshold)])
     return curves
 
+
+def _rate(scn: Scenario) -> list[_Curve]:
+    rates = [float(r) for r in scn.grid["rate_bps"]]
+    return [_Curve("rate_coverage.csv", _metric(scn, "rate"),
+                   [(r, scn.config, r) for r in rates])]
+
+
+# experiment: (required grid keys, each a non-empty list; optional grid keys;
+# curve builder)
+_EXPERIMENTS = {
+    Experiment.SINR_VS_SNR: (("threshold_db",), ("tier_counts",),
+                             _sinr_vs_snr),
+    Experiment.GAIN_SWEEP: (("threshold_db", "main_gain_db"), (), _gain_sweep),
+    Experiment.BALL_PARAMS: (("threshold_db", "variants"), (), _ball_params),
+    Experiment.BIAS_SWEEP: (("bias_db",), ("tiers", "threshold_db"),
+                            _bias_sweep),
+    Experiment.BEAM_ERROR: (("threshold_db", "sigma_be_deg"), (), _beam_error),
+    Experiment.RATE: (("rate_bps",), (), _rate),
+    Experiment.ENERGY: (("bias_db",), ("tier", "threshold_db", "variants"),
+                        _energy),
+    Experiment.ASSOC_VS_BIAS: (("bias_db",), ("tier",), _assoc_vs_bias),
+    Experiment.HYBRID_BIAS: (("threshold_db", "bias_db"), (), _hybrid_bias),
+    Experiment.HYBRID_DENSITY: (("threshold_db", "density_mult"), (),
+                                _hybrid_density),
+}
+
+
+# ---------------------------------------------------------------------------
+# running and writing
 
 def _pmap(fn: Callable, items: list, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
@@ -445,22 +430,31 @@ def _pmap(fn: Callable, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _run_jobs(fn: Callable, per_curve: list[list], workers: int) -> list[list]:
+    """Evaluate every curve's jobs in one pool; results regrouped per curve."""
+    results = iter(_pmap(fn, [job for jobs in per_curve for job in jobs],
+                         workers))
+    return [[next(results) for _ in jobs] for jobs in per_curve]
+
+
 def _format(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _write_curve(path: Path, curve: _Curve) -> None:
-    has_mc = curve.mc is not None
+def _write_curve(path: Path, curve: _Curve, analytic: list[tuple],
+                 mc: list[tuple]) -> None:
     header = "x,analytic,quad_error,flag"
-    if has_mc:
+    if mc:
         header += ",monte_carlo,mc_stderr"
+        mc_values = [v for values, _ in mc for v in values]
+        mc_ses = [s for _, ses in mc for s in ses]
     lines = [header]
-    for i, x in enumerate(curve.xs):
-        value, err, ok = curve.analytic[i]
+    for i, (x, _, _) in enumerate(curve.points):
+        value, err, ok = analytic[i]
         row = [_format(x), _format(value), _format(err),
                "" if ok else "nonconverged"]
-        if has_mc:
-            row += [_format(curve.mc[i]), _format(curve.mc_se[i])]
+        if mc:
+            row += [_format(mc_values[i]), _format(mc_ses[i])]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -480,44 +474,23 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
     """
     t0 = time.perf_counter()
     _validate_grid(scn.experiment, scn.grid)
-    curves = _build_curves(scn)
+    curves = _EXPERIMENTS[scn.experiment][2](scn)
     n_workers = workers if workers is not None else scn.workers
 
-    jobs = [job for curve in curves for job in curve.jobs]
-    results = _pmap(_eval_analytic, jobs, n_workers)
-    pos = 0
-    for curve in curves:
-        curve.analytic = results[pos:pos + len(curve.jobs)]
-        pos += len(curve.jobs)
-
-    mc_jobs: list[dict] = []
-    slots: list[tuple[_Curve, int | None]] = []  # (curve, point idx or None)
-    for curve in curves:
-        if curve.mc_curve_job is not None:
-            mc_jobs.append(curve.mc_curve_job)
-            slots.append((curve, None))
-        if curve.mc_point_jobs is not None:
-            for i, job in enumerate(curve.mc_point_jobs):
-                mc_jobs.append(job)
-                slots.append((curve, i))
-    if mc_jobs:
-        mc_results = _pmap(_eval_mc, mc_jobs, n_workers)
-        for (curve, idx), (vals, ses) in zip(slots, mc_results):
-            if curve.mc is None:
-                curve.mc = [math.nan] * len(curve.xs)
-                curve.mc_se = [math.nan] * len(curve.xs)
-            if idx is None:
-                curve.mc, curve.mc_se = vals, ses
-            else:
-                curve.mc[idx], curve.mc_se[idx] = vals[0], ses[0]
+    analytic = _run_jobs(
+        _eval_analytic,
+        [[(c.metric, cfg, arg) for _, cfg, arg in c.points] for c in curves],
+        n_workers)
+    mc = _run_jobs(_eval_mc, [_mc_jobs(c, scn.monte_carlo) for c in curves],
+                   n_workers)
 
     out = Path(output_dir) if output_dir is not None else Path(
         scn.output_dir if scn.output_dir else f"out_{scn.name}")
     out.mkdir(parents=True, exist_ok=True)
-    for curve in curves:
-        _write_curve(out / curve.filename, curve)
+    for curve, values, mc_values in zip(curves, analytic, mc):
+        _write_curve(out / curve.filename, curve, values, mc_values)
 
-    flagged = any(not ok for curve in curves for (_, _, ok) in curve.analytic)
+    n_flagged = sum(not ok for values in analytic for (_, _, ok) in values)
     wall = time.perf_counter() - t0
     manifest = {
         "scenario": scn.name,
@@ -531,8 +504,7 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
             "drops": scn.monte_carlo.drops, "seed": scn.monte_carlo.seed,
             "chunks": scn.monte_carlo.parallel_chunks},
         "tolerances": _TOLERANCES,
-        "flagged_points": int(sum(not ok for curve in curves
-                                  for (_, _, ok) in curve.analytic)),
+        "flagged_points": int(n_flagged),
         "files": sorted(curve.filename for curve in curves),
         "wall_time_s": round(wall, 3),
     }
@@ -541,5 +513,5 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
                              + "\n")
     return ScenarioResult(output_dir=out,
                           files=tuple(sorted(c.filename for c in curves)),
-                          manifest_path=manifest_path, flagged=flagged,
+                          manifest_path=manifest_path, flagged=n_flagged > 0,
                           wall_time_s=wall)

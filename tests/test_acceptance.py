@@ -18,15 +18,15 @@ from hetnetsim import intensity, quadrature
 from hetnetsim.association import (association_approx,
                                    association_closed_form_2tier,
                                    association_table)
-from hetnetsim.coverage import (coverage_with_beam_error, hybrid_coverage,
-                                psi, sinr_coverage, snr_coverage,
+from hetnetsim.coverage import (coverage_with_beam_error, psi,
+                                sinr_coverage, snr_coverage,
                                 snr_coverage_closed_form)
 from hetnetsim.metrics import energy_efficiency, rate_coverage
 from hetnetsim.model import (AntennaPattern, Band, LinkState, db_to_linear,
                              with_antenna, with_balls, with_bias,
                              with_density_scale)
-from hetnetsim.montecarlo import (SimConfig, empirical_beam_error_coverage,
-                                  empirical_coverage, empirical_rate_coverage)
+from hetnetsim.montecarlo import (SimConfig, empirical_coverage,
+                                  empirical_rate_coverage)
 
 GRID_DB = (-20.0, -10.0, 0.0, 10.0, 20.0)
 
@@ -158,8 +158,8 @@ def test_criterion_09_beam_error_monotone_and_oracle(table1):
         table1, [1.0], sigma_be_rad=math.radians(s)).probability[0])
         for s in sigmas_deg]
     sim = SimConfig(drops=20_000, seed=109, parallel_chunks=8)
-    probs, ses = empirical_beam_error_coverage(
-        table1, sim, math.radians(7.0), [1.0], workers=4)
+    probs, ses = empirical_coverage(
+        table1, sim, [1.0], sigma_be_rad=math.radians(7.0), workers=4)
     diff = abs(covs[2] - float(probs[0]))
     ok = all(b <= a + 1e-12 for a, b in zip(covs, covs[1:])) \
         and diff <= 3.0 * float(ses[0])
@@ -218,10 +218,10 @@ def test_criterion_11_energy_efficiency_bias_shape(table1):
 def test_criterion_12_hybrid_monotonicity(hybrid):
     gamma = [db_to_linear(0.0)]
     mm = [i for i, t in enumerate(hybrid.tiers) if t.band is Band.MMWAVE]
-    by_bias = [float(hybrid_coverage(
+    by_bias = [float(sinr_coverage(
         with_bias(hybrid, {k: db_to_linear(b) for k in mm}),
         gamma).probability[0]) for b in (0.0, 5.0, 10.0)]
-    by_density = [float(hybrid_coverage(
+    by_density = [float(sinr_coverage(
         with_density_scale(hybrid, {0: m}), gamma).probability[0])
         for m in (1.0, 2.0, 4.0)]
     ok = all(b >= a - 1e-12 for a, b in zip(by_bias, by_bias[1:])) \

@@ -13,9 +13,8 @@ from hetnetsim import association, coverage, intensity
 from hetnetsim.association import association_table, power_ratios
 from hetnetsim.coverage import (alignment_probability,
                                 coverage_with_beam_error, eta,
-                                hybrid_coverage, interference_term, psi,
-                                sinr_coverage, snr_coverage,
-                                snr_coverage_closed_form)
+                                interference_term, psi, sinr_coverage,
+                                snr_coverage, snr_coverage_closed_form)
 from hetnetsim.model import (AntennaPattern, Band, FadingConfig, LinkState,
                              db_to_linear, with_bias)
 
@@ -288,22 +287,27 @@ def test_beam_error_limits(table1):
     assert m_gain > mm_gain
 
 
-def test_hybrid_single_microwave_tier_degenerates(hybrid):
-    solo = hybrid.subset((0,))
+def test_beam_error_skips_zero_weight_parts(table1, monkeypatch):
+    # at sigma 0 only the aligned part has weight; the others are not run
+    calls = []
+    real = coverage.sinr_coverage
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("serving_gain_override"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coverage, "sinr_coverage", counted)
     gammas = [db_to_linear(x) for x in (-5.0, 5.0)]
-    a = hybrid_coverage(solo, gammas)
-    b = sinr_coverage(solo, gammas)
-    assert np.allclose(a.probability, b.probability, atol=1e-12)
+    perfect = coverage_with_beam_error(table1, gammas, sigma_be_rad=0.0)
+    assert calls == [table1.pattern.main_gain ** 2]
+    base = real(table1, gammas)
+    for field in ("probability", "joint", "error", "converged"):
+        assert np.array_equal(getattr(perfect, field), getattr(base, field))
 
 
 def test_hybrid_high_thresholds_converge(hybrid):
     gammas = [db_to_linear(x) for x in (15.0, 20.0)]
     assert sinr_coverage(hybrid, gammas).converged.all()
-
-
-def test_hybrid_requires_two_bands(table1):
-    with pytest.raises(ValueError):
-        hybrid_coverage(table1, [1.0])
 
 
 def test_cross_band_isolation(hybrid):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import make_network, make_tier
+from hetnetsim.intensity import state_segments
 from hetnetsim.model import (AntennaPattern, Band, ConfigError, FadingConfig,
                              LinkState, NetworkConfig, cross_gain_pmf,
                              db_to_linear, dbm_to_watts, friis_kappa,
-                             gain_pmf, linear_to_db, los_probability,
-                             noise_power_w, path_loss, validate,
+                             gain_pmf, linear_to_db, noise_power_w, validate,
                              watts_to_dbm, with_antenna, with_bias,
                              with_density_scale)
 
@@ -93,23 +93,31 @@ def test_cross_gain_pmf_normalizes():
 
 def test_los_probability_annuli(table1):
     micro = table1.tiers[0]
-    assert los_probability(micro, 30.0) == pytest.approx(0.8)
-    assert los_probability(micro, 100.0) == pytest.approx(0.2)
-    assert los_probability(micro, 250.0) is LinkState.OUTAGE
+    los = state_segments(micro, LinkState.LOS)
+    nlos = state_segments(micro, LinkState.NLOS)
+    assert [s.weight for s in los] == pytest.approx([0.8, 0.2])
+    assert [s.weight for s in nlos] == pytest.approx([0.2, 0.8])
+    assert [s.hi_r2 for s in los] == pytest.approx([50.0 ** 2, 200.0 ** 2])
+    assert micro.outage_radius == 200.0
 
 
 def test_path_loss_direct():
-    tier = make_tier(radii=(50.0,), betas=(1.0,), alpha_los=2.0,
+    # segment edges are kappa * R**alpha per state
+    tier = make_tier(radii=(10.0, 50.0), betas=(1.0, 0.5), alpha_los=2.0,
                      alpha_nlos=4.0, kappa_los=1.0)
-    assert path_loss(tier, 0, LinkState.LOS, 10.0) == pytest.approx(100.0)
-    assert path_loss(tier, 0, LinkState.NLOS, 10.0) == pytest.approx(10000.0)
+    los = state_segments(tier, LinkState.LOS)
+    nlos = state_segments(tier, LinkState.NLOS)
+    assert [x for s in los for x in (s.lo_x, s.hi_x)] == \
+        pytest.approx([0.0, 100.0, 100.0, 2500.0])
+    assert [(s.lo_x, s.hi_x) for s in nlos] == [(10.0 ** 4, 50.0 ** 4)]
 
 
 def test_path_loss_table1_kappa(table1):
     micro = table1.tiers[0]
     kappa = friis_kappa(table1.carrier)
-    assert path_loss(micro, 0, LinkState.LOS, 30.0) == \
-        pytest.approx(kappa * 900.0, rel=1e-12)
+    assert micro.balls[0].kappa_los == pytest.approx(kappa, rel=1e-12)
+    assert state_segments(micro, LinkState.LOS)[0].hi_x == \
+        pytest.approx(kappa * 50.0 ** 2, rel=1e-12)
 
 
 def test_validate_collects_field_names():

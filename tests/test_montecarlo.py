@@ -8,10 +8,8 @@ import pytest
 from conftest import make_network, make_tier
 from hetnetsim import intensity
 from hetnetsim.coverage import sinr_coverage
-from hetnetsim.model import LinkState
 from hetnetsim.montecarlo import (DropBatch, SimConfig, empirical_association,
-                                  empirical_beam_error_coverage,
-                                  empirical_coverage, realize_drop, simulate)
+                                  empirical_coverage, simulate)
 
 
 def batches_equal(a: DropBatch, b: DropBatch) -> bool:
@@ -44,16 +42,6 @@ def test_sim_config_validation(table1):
         SimConfig(drops=0, seed=1).validate(table1)
     with pytest.raises(ValueError):
         SimConfig(drops=10, seed=1, parallel_chunks=11).validate(table1)
-
-
-def test_realize_drop_matches_batch_head(table1):
-    sim = SimConfig(drops=1, seed=42)
-    one = realize_drop(table1, sim)
-    batch = simulate(table1, sim)
-    assert one.tier == batch.tier[0]
-    assert one.path_loss == batch.path_loss[0]
-    assert one.sinr == batch.sinr[0]
-    assert one.state in (LinkState.LOS, LinkState.NLOS, LinkState.OUTAGE)
 
 
 def test_outage_matches_void_probability():
@@ -148,8 +136,8 @@ def test_rate_uses_load_shared_bandwidth(table1):
 def test_beam_error_degrades_coverage(table1):
     sim = SimConfig(drops=30_000, seed=47, parallel_chunks=4)
     aligned, se_a = empirical_coverage(table1, sim, [1.0])
-    blurred, se_b = empirical_beam_error_coverage(
-        table1, sim, math.radians(60.0), [1.0])
+    blurred, se_b = empirical_coverage(
+        table1, sim, [1.0], sigma_be_rad=math.radians(60.0))
     assert aligned[0] - blurred[0] > 3.0 * (se_a[0] + se_b[0])
 
 

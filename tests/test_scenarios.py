@@ -1,14 +1,24 @@
 """Scenario engine: loading, curve construction, CSV/manifest output."""
 
 import json
+import math
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from hetnetsim.model import ConfigError
-from hetnetsim.scenarios import (Experiment, Scenario, _build_curves, _tag,
-                                 load_scenario, run_scenario)
+from hetnetsim.association import association_table
+from hetnetsim.coverage import (coverage_with_beam_error, sinr_coverage,
+                                snr_coverage_closed_form)
+from hetnetsim.metrics import energy_efficiency, rate_coverage
+from hetnetsim.model import (ConfigError, db_to_linear, network_from_dict,
+                             with_antenna, with_balls, with_bias,
+                             with_density_scale)
+from hetnetsim.scenarios import (Experiment, Scenario, _tag, load_scenario,
+                                 run_scenario)
+
+BUNDLED_SCENARIOS = resources.files("hetnetsim").joinpath("data", "scenarios")
 
 
 def tier_dict(name, density, radius, beta, p_dbm=33):
@@ -167,37 +177,165 @@ def test_assoc_scenario_with_mc_points(tmp_path):
     assert float(rows_a[1][1]) < float(rows_a[0][1])
 
 
-def test_closed24_conversion_rules():
-    import hetnetsim.model as model
-    cfg = model.network_from_dict(small_config())
-    scn = Scenario(name="g", config=cfg, experiment=Experiment.GAIN_SWEEP,
-                   grid={"threshold_db": [0.0], "main_gain_db": [10.0]},
-                   mode="closed24")
-    curves = _build_curves(scn)
-    assert all(job["kind"] == "closed24"
-               for curve in curves for job in curve.jobs)
-
-    rate_scn = Scenario(name="r", config=cfg, experiment=Experiment.RATE,
-                        grid={"rate_bps": [1e8]}, mode="closed24")
-    with pytest.raises(ConfigError):
-        _build_curves(rate_scn)
-    beam_scn = Scenario(name="b", config=cfg, experiment=Experiment.BEAM_ERROR,
-                        grid={"threshold_db": [0.0], "sigma_be_deg": [5.0]},
-                        mode="closed24")
-    with pytest.raises(ConfigError):
-        _build_curves(beam_scn)
+def test_load_scenario_rejects_unknown_keys(tmp_path):
+    body = json.loads(
+        BUNDLED_SCENARIOS.joinpath("hybrid_bias.json").read_text())
+    mc = {"drops": 100, "seed": 1, "window_radius": 5.0, "chunkz": 4}
+    for change, message in (
+            ({"monte_carlo": mc},
+             "monte_carlo has unknown keys: chunkz, window_radius"),
+            ({"grid": dict(body["grid"], bias_dbb=[1.0])},
+             "HYBRID_BIAS grid has unknown keys: bias_dbb"),
+            ({"wokers": 2}, "scenario has unknown keys: wokers")):
+        path = write_scenario(tmp_path, dict(body, **change))
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(path)
 
 
-def test_hybrid_experiments_require_hybrid_config():
+def test_load_scenario_accepts_bundled_files():
+    names = sorted(f.name for f in BUNDLED_SCENARIOS.iterdir()
+                   if f.name.endswith(".json"))
+    assert len(names) == 5
+    for name in names:
+        with resources.as_file(BUNDLED_SCENARIOS.joinpath(name)) as path:
+            assert load_scenario(path).name == name[:-len(".json")]
+
+
+def test_closed24_conversion_rules(tmp_path):
+    cfg = network_from_dict(small_config())
+    thresholds = [-5.0, 5.0]
+
+    def rows_of(result, name):
+        return read_csv(result.output_dir / name)[1]
+
+    gain = run_scenario(Scenario(
+        name="g", config=cfg, experiment=Experiment.GAIN_SWEEP,
+        grid={"threshold_db": thresholds, "main_gain_db": [12.0]},
+        mode="closed24"), output_dir=tmp_path / "g")
+    wider = with_antenna(
+        cfg, replace(cfg.pattern, main_gain=db_to_linear(12.0)))
+    for row, t in zip(rows_of(gain, "cov_gain12db.csv"), thresholds):
+        want = snr_coverage_closed_form(wider, [db_to_linear(t)])
+        assert row[1:3] == [f"{want.probability[0]:.12g}", "0"]
+
+    # the sinr curve of SINR_VS_SNR stays on quadrature
+    both = run_scenario(Scenario(
+        name="s", config=cfg, experiment=Experiment.SINR_VS_SNR,
+        grid={"threshold_db": thresholds}, mode="closed24"),
+        output_dir=tmp_path / "s")
+    for row, t in zip(rows_of(both, "sinr_tiers1.csv"), thresholds):
+        want = sinr_coverage(cfg, [db_to_linear(t)])
+        assert row[1:3] == [f"{want.probability[0]:.12g}",
+                            f"{want.error[0]:.12g}"]
+    for row, t in zip(rows_of(both, "snr_tiers1.csv"), thresholds):
+        want = snr_coverage_closed_form(cfg, [db_to_linear(t)])
+        assert row[1:3] == [f"{want.probability[0]:.12g}", "0"]
+
+    for exp, grid in ((Experiment.RATE, {"rate_bps": [1e8]}),
+                      (Experiment.BEAM_ERROR,
+                       {"threshold_db": [0.0], "sigma_be_deg": [5.0]}),
+                      (Experiment.ENERGY, {"bias_db": [0.0]})):
+        target = tmp_path / exp.value
+        with pytest.raises(ConfigError, match="closed24"):
+            run_scenario(Scenario(name="x", config=cfg, experiment=exp,
+                                  grid=grid, mode="closed24"),
+                         output_dir=target)
+        assert not target.exists()
+
+
+def test_hybrid_experiments_require_hybrid_config(tmp_path):
     import hetnetsim.model as model
     cfg = model.network_from_dict(small_config())
     for exp, grid in ((Experiment.HYBRID_BIAS,
                        {"threshold_db": [0.0], "bias_db": [0.0]}),
                       (Experiment.HYBRID_DENSITY,
                        {"threshold_db": [0.0], "density_mult": [2.0]})):
-        with pytest.raises(ConfigError):
-            _build_curves(Scenario(name="h", config=cfg, experiment=exp,
-                                   grid=grid))
+        target = tmp_path / exp.value
+        with pytest.raises(ConfigError, match="requires a hybrid config"):
+            run_scenario(Scenario(name="h", config=cfg, experiment=exp,
+                                  grid=grid), output_dir=target)
+        assert not target.exists()
+
+
+def _coverage(cfg, t_db):
+    return sinr_coverage(cfg, [db_to_linear(t_db)])
+
+
+def _biased(cfg, b_db, tier=1):
+    return with_bias(cfg, {tier: db_to_linear(b_db)})
+
+
+def _assoc(k):
+    return lambda cfg, b: association_table(_biased(cfg, b)).per_tier[k]
+
+
+# experiment: (hybrid config?, key of the x column, grid,
+#              {file: direct library value at (config, x)})
+END_TO_END = {
+    Experiment.SINR_VS_SNR: (False, "threshold_db", {
+        "threshold_db": [-5.0, 5.0], "tier_counts": [2]}, {
+        "sinr_tiers2.csv": _coverage,
+        "snr_tiers2.csv": lambda cfg, t: sinr_coverage(
+            cfg, [db_to_linear(t)], mode="snr")}),
+    Experiment.GAIN_SWEEP: (False, "threshold_db", {
+        "threshold_db": [0.0], "main_gain_db": [5.0]}, {
+        "cov_gain5db.csv": lambda cfg, t: _coverage(with_antenna(
+            cfg, replace(cfg.pattern, main_gain=db_to_linear(5.0))), t)}),
+    Experiment.BALL_PARAMS: (False, "threshold_db", {
+        "threshold_db": [0.0], "variants": [
+            {"name": "wide", "tier": 0, "radii": [30, 80],
+             "los_prob": [0.9, 0.1]}]}, {
+        "cov_wide.csv": lambda cfg, t: _coverage(
+            with_balls(cfg, 0, [30, 80], [0.9, 0.1]), t)}),
+    Experiment.BIAS_SWEEP: (False, "bias_db", {
+        "bias_db": [0.0, 6.0], "threshold_db": 0.0}, {
+        "coverage_vs_bias.csv": lambda cfg, b: _coverage(_biased(cfg, b), 0.0),
+        "assoc_a_vs_bias.csv": _assoc(0),
+        "assoc_b_vs_bias.csv": _assoc(1)}),
+    Experiment.BEAM_ERROR: (False, "threshold_db", {
+        "threshold_db": [0.0], "sigma_be_deg": [5.0]}, {
+        "cov_sigma5deg.csv": lambda cfg, t: coverage_with_beam_error(
+            cfg, [db_to_linear(t)], sigma_be_rad=math.radians(5.0))}),
+    Experiment.RATE: (False, "rate_bps", {"rate_bps": [1e8, 1e9]}, {
+        "rate_coverage.csv": lambda cfg, r: rate_coverage(cfg, [r])}),
+    Experiment.ENERGY: (False, "bias_db", {"bias_db": [0.0, 6.0], "tier": 1}, {
+        "ee_base.csv": lambda cfg, b: energy_efficiency(
+            _biased(cfg, b), 1.0).energy_efficiency}),
+    Experiment.ASSOC_VS_BIAS: (False, "bias_db", {
+        "bias_db": [0.0, 6.0], "tier": 1}, {
+        "assoc_a.csv": _assoc(0), "assoc_b.csv": _assoc(1)}),
+    Experiment.HYBRID_BIAS: (True, "threshold_db", {
+        "threshold_db": [0.0], "bias_db": [5.0]}, {
+        "cov_bias5db.csv": lambda cfg, t: _coverage(with_bias(
+            cfg, {1: db_to_linear(5.0), 2: db_to_linear(5.0)}), t)}),
+    Experiment.HYBRID_DENSITY: (True, "threshold_db", {
+        "threshold_db": [0.0], "density_mult": [2.0]}, {
+        "cov_density2x.csv": lambda cfg, t: _coverage(
+            with_density_scale(cfg, {0: 2.0}), t)}),
+}
+
+
+@pytest.mark.parametrize("experiment", list(Experiment),
+                         ids=lambda e: e.value)
+def test_every_experiment_end_to_end(tmp_path, experiment):
+    hybrid, x_key, grid, expected = END_TO_END[experiment]
+    body = {"name": "e2e", "experiment": experiment.value,
+            "config": "bundled:hybrid" if hybrid else small_config(2),
+            "grid": grid, "monte_carlo": {"drops": 3000, "seed": 2,
+                                          "chunks": 2}}
+    scn = load_scenario(write_scenario(tmp_path, body))
+    result = run_scenario(scn, output_dir=tmp_path / "out")
+    assert result.files == tuple(sorted(expected))
+    xs = [float(x) for x in grid[x_key]]
+    for name, direct in expected.items():
+        header, rows = read_csv(tmp_path / "out" / name)
+        # energy efficiency has no Monte Carlo columns
+        assert len(header) == (4 if experiment is Experiment.ENERGY else 6)
+        assert [float(r[0]) for r in rows] == xs
+        for row, x in zip(rows, xs):
+            value = direct(scn.config, x)
+            value = getattr(value, "probability", [value])[0]
+            assert row[1] == f"{float(value):.12g}"
 
 
 def test_filename_tags():
