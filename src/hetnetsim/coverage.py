@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import erf, erfcx, exprel, hyp2f1
 
 from . import intensity
-from .association import AssociationTable, association_table, power_ratios
+from .association import AssociationTable, power_ratios
 from .model import LinkState, NetworkConfig
 
 _STATES = (LinkState.LOS, LinkState.NLOS)
@@ -163,16 +163,19 @@ class CoverageCurve:
     x: np.ndarray               # grid: linear SINR thresholds, or rate in bit/s
     probability: np.ndarray     # (n,)
     joint: np.ndarray           # (n, K, 2): joint coverage-and-association mass
-    association: AssociationTable
     error: np.ndarray           # (n,) summed quadrature error estimates
     converged: np.ndarray       # (n,) bool
     mode: str
     exclusion_zone: str
     meta: dict = field(default_factory=dict)
 
-    def conditional(self, k: int) -> np.ndarray:
-        """P(covered | associated with tier k) over the grid."""
-        a_k = float(self.association.per_tier[k])
+    def conditional(self, k: int, assoc: AssociationTable) -> np.ndarray:
+        """P(covered | associated with tier k) over the grid.
+
+        assoc is the association table of the config the curve was computed
+        on; the curve itself carries only the joint masses.
+        """
+        a_k = float(assoc.per_tier[k])
         if a_k <= 0.0:
             return np.zeros_like(self.probability)
         return self.joint[:, k, :].sum(axis=1) / a_k
@@ -250,8 +253,8 @@ def _term(cfg: NetworkConfig, k: int, state: LinkState, gamma_k: float,
 def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
                   serving_gain_override: float | None = None,
                   exclusion_zone: str = "with_gains",
-                  outer_abs_tol: float = 1e-7, outer_rel_tol: float = 1e-6,
-                  assoc: AssociationTable | None = None) -> CoverageCurve:
+                  outer_abs_tol: float = 1e-7,
+                  outer_rel_tol: float = 1e-6) -> CoverageCurve:
     """Coverage probability across a threshold grid.
 
     thresholds are linear; pass an (n, K) array for per-tier values (rate
@@ -262,8 +265,6 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
     if mode not in ("sinr", "snr"):
         raise ValueError(f"mode must be 'sinr' or 'snr', got {mode!r}")
     grid = _normalize_thresholds(cfg, thresholds)
-    if assoc is None:
-        assoc = association_table(cfg)
     n_pts = grid.shape[0]
     joint = np.zeros((n_pts, cfg.n_tiers, 2))
     errs = np.zeros(n_pts)
@@ -281,7 +282,6 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
                 conv[i] = conv[i] and ok
     return CoverageCurve(
         x=grid[:, 0], probability=joint.sum(axis=(1, 2)), joint=joint,
-        association=assoc,
         error=errs, converged=conv, mode=mode, exclusion_zone=exclusion_zone,
         meta={"serving_gain_override": serving_gain_override})
 
@@ -344,8 +344,8 @@ def _quadratic_pieces(cfg: NetworkConfig, ratios: np.ndarray, x_lo: float,
 
 
 def snr_coverage_closed_form(cfg: NetworkConfig, thresholds, *,
-                             serving_gain_override: float | None = None,
-                             assoc: AssociationTable | None = None) -> CoverageCurve:
+                             serving_gain_override: float | None = None
+                             ) -> CoverageCurve:
     """Noise-limited coverage in closed form for alpha pairs (2, 4).
 
     In the x = sqrt(path loss) variable every exponent is piecewise quadratic,
@@ -358,8 +358,6 @@ def snr_coverage_closed_form(cfg: NetworkConfig, thresholds, *,
                     f"tiers[{i}].balls[{dd}]: closed form requires alpha_los 2 "
                     "and alpha_nlos 4")
     grid = _normalize_thresholds(cfg, thresholds)
-    if assoc is None:
-        assoc = association_table(cfg)
     n_pts = grid.shape[0]
     joint = np.zeros((n_pts, cfg.n_tiers, 2))
     for i in range(n_pts):
@@ -397,7 +395,7 @@ def snr_coverage_closed_form(cfg: NetworkConfig, thresholds, *,
                 joint[i, k, col] = acc
     x = grid[:, 0]
     return CoverageCurve(
-        x=x, probability=joint.sum(axis=(1, 2)), joint=joint, association=assoc,
+        x=x, probability=joint.sum(axis=(1, 2)), joint=joint,
         error=np.zeros(n_pts), converged=np.ones(n_pts, dtype=bool),
         mode="closed24", exclusion_zone="with_gains",
         meta={"serving_gain_override": serving_gain_override})
@@ -425,17 +423,16 @@ def coverage_with_beam_error(cfg: NetworkConfig, thresholds,
     mg, sg = cfg.pattern.main_gain, cfg.pattern.side_gain
     weights = (f_align ** 2, 2.0 * f_align * (1.0 - f_align), (1.0 - f_align) ** 2)
     gains = (mg * mg, mg * sg, sg * sg)
-    assoc = kwargs.pop("assoc", None) or association_table(cfg)
     # a part of weight zero (every part but the first at sigma 0) adds
     # nothing, so it is neither computed nor consulted for convergence
     parts = [(w, sinr_coverage(cfg, thresholds, mode=mode,
-                               serving_gain_override=g, assoc=assoc, **kwargs))
+                               serving_gain_override=g, **kwargs))
              for w, g in zip(weights, gains) if w > 0.0]
     joint = sum(w * p.joint for w, p in parts)
     first = parts[0][1]
     return CoverageCurve(
         x=first.x, probability=joint.sum(axis=(1, 2)), joint=joint,
-        association=assoc, error=sum(w * p.error for w, p in parts),
+        error=sum(w * p.error for w, p in parts),
         converged=np.logical_and.reduce([p.converged for _, p in parts]),
         mode=first.mode, exclusion_zone=first.exclusion_zone,
         meta={"sigma_be_rad": sigma_be_rad, "alignment_probability": f_align})

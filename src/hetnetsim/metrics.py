@@ -42,18 +42,16 @@ def rate_coverage(cfg: NetworkConfig, rates, *, mode: str = "sinr",
                   assoc: AssociationTable | None = None,
                   **kwargs) -> CoverageCurve:
     """P(rate > rho) over a grid of rate targets in bit/s."""
-    if assoc is None:
-        assoc = association_table(cfg)
     loads = mean_loads(cfg, assoc)
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     thresholds = equivalent_thresholds(cfg, rates, loads)
-    curve = sinr_coverage(cfg, thresholds, mode=mode, assoc=assoc, **kwargs)
+    curve = sinr_coverage(cfg, thresholds, mode=mode, **kwargs)
     meta = dict(curve.meta)
     meta.update({"rates_bps": rates, "mean_loads": loads,
                  "equivalent_thresholds": thresholds})
     return CoverageCurve(
         x=rates, probability=curve.probability, joint=curve.joint,
-        association=assoc, error=curve.error, converged=curve.converged,
+        error=curve.error, converged=curve.converged,
         mode=curve.mode, exclusion_zone=curve.exclusion_zone, meta=meta)
 
 
@@ -102,8 +100,9 @@ def energy_efficiency(cfg: NetworkConfig, thresholds=1.0, *,
         raise ValueError("thresholds must be a scalar or length-K vector")
     if assoc is None:
         assoc = association_table(cfg)
-    curve = sinr_coverage(cfg, thr[None, :], mode=mode, assoc=assoc, **kwargs)
-    cond = np.array([curve.conditional(k)[0] for k in range(cfg.n_tiers)])
+    curve = sinr_coverage(cfg, thr[None, :], mode=mode, **kwargs)
+    cond = np.array([curve.conditional(k, assoc)[0]
+                     for k in range(cfg.n_tiers)])
     dens = np.array([t.density for t in cfg.tiers])
     ase = dens * cond * np.log2(1.0 + thr)
     return EnergyReport(thresholds=thr, ase_per_tier=ase,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -181,7 +182,6 @@ class _Metric:
     mode: str                 # sinr or snr; also the Monte Carlo statistic
     exclusion_zone: str
     sigma: float = 0.0        # beam pointing error, radians
-    tier: int = 0             # association tier
 
 
 @dataclass(frozen=True)
@@ -189,15 +189,17 @@ class _Curve:
     filename: str
     metric: _Metric
     points: list[tuple[float, NetworkConfig, Any]]  # (CSV x, config, argument)
+    tier: int = 0             # the tier an association curve reads
 
 
 def _metric(scn: Scenario, kind: str, mode: str | None = None, *,
-            sigma: float = 0.0, tier: int = 0) -> _Metric:
+            sigma: float = 0.0) -> _Metric:
     """The metric of one curve under the scenario's mode.
 
     Under closed24, noise-limited coverage takes the (2, 4) closed form,
     SINR coverage stays on quadrature, and beam, rate and energy metrics,
-    which have no closed form, are refused before anything runs.
+    which have no closed form, are refused before anything runs.  So is
+    Monte Carlo for energy efficiency, which has no empirical estimator.
     """
     mode = mode or scn.mode
     if scn.mode == "closed24" and kind == "coverage" and mode != "sinr":
@@ -205,16 +207,23 @@ def _metric(scn: Scenario, kind: str, mode: str | None = None, *,
     elif scn.mode == "closed24" and kind in ("beam", "rate", "ee"):
         raise ConfigError(
             "mode closed24 applies only to coverage threshold sweeps")
-    return _Metric(kind, mode, scn.exclusion_zone, sigma, tier)
+    if kind == "ee" and scn.monte_carlo is not None:
+        raise ConfigError(
+            "ENERGY has no Monte Carlo estimator; remove monte_carlo")
+    return _Metric(kind, mode, scn.exclusion_zone, sigma)
 
 
-def _eval_analytic(job: tuple) -> tuple[float, float, bool]:
-    """Evaluate one analytic grid point; returns (value, error, converged)."""
+def _eval_analytic(job: tuple) -> tuple[Any, float, bool]:
+    """Evaluate one analytic grid point; returns (value, error, converged).
+
+    An association point's value is the per-tier vector, which every
+    association curve of the config shares.
+    """
     metric, cfg, x = job
     kw = {"mode": metric.mode, "exclusion_zone": metric.exclusion_zone}
     if metric.kind == "assoc":
         table = association.association_table(cfg)
-        return (float(table.per_tier[metric.tier]), float(table.error),
+        return (tuple(map(float, table.per_tier)), float(table.error),
                 bool(table.converged))
     if metric.kind == "ee":
         report = metrics.energy_efficiency(cfg, x, **kw)
@@ -232,36 +241,49 @@ def _eval_analytic(job: tuple) -> tuple[float, float, bool]:
             bool(curve.converged[0]))
 
 
-def _eval_mc(job: tuple) -> tuple[list[float], list[float]]:
-    """Evaluate one Monte Carlo job; returns (values, standard errors)."""
-    metric, cfg, xs, sim = job
-    if metric.kind == "assoc":
-        joint, _, _, _ = montecarlo.empirical_association(cfg, sim)
-        p = float(joint[metric.tier].sum())
-        se = math.sqrt(max(p * (1.0 - p), 0.0) / sim.drops)
-        return [p] * len(xs), [se] * len(xs)
-    if metric.kind == "rate":
-        probs, ses = montecarlo.empirical_rate_coverage(cfg, sim, xs)
-    else:
-        probs, ses = montecarlo.empirical_coverage(
-            cfg, sim, xs, mode=metric.mode, sigma_be_rad=metric.sigma)
-    return list(map(float, probs)), list(map(float, ses))
+def _mc_statistic(curve: _Curve) -> tuple[str, Any]:
+    """(job kind, statistic) of a curve's Monte Carlo estimate.
 
-
-def _mc_jobs(curve: _Curve, sim: montecarlo.SimConfig | None) -> list[tuple]:
-    """One Monte Carlo job per run of consecutive points sharing a config.
-
-    Energy efficiency has no Monte Carlo estimator.
+    One coverage job, with or without beam error, serves the sinr and the
+    snr statistic from one drop set; one association job serves every tier.
     """
-    if sim is None or curve.metric.kind == "ee":
-        return []
-    jobs: list[tuple] = []
-    for _, cfg, arg in curve.points:
-        if jobs and jobs[-1][1] is cfg:
-            jobs[-1][2].append(arg)
-        else:
-            jobs.append((curve.metric, cfg, [arg], sim))
-    return jobs
+    kind = curve.metric.kind
+    if kind == "assoc":
+        return kind, curve.tier
+    if kind == "rate":
+        return kind, None
+    return "coverage", curve.metric.mode
+
+
+def _eval_mc(job: tuple) -> dict[Any, tuple[list[float], list[float]]]:
+    """Evaluate one Monte Carlo job; returns {statistic: (values, stderrs)}."""
+    kind, sigma, cfg, xs, sim = job
+    if kind == "assoc":
+        joint, _, _, _ = montecarlo.empirical_association(cfg, sim)
+        out = {}
+        for k in range(cfg.n_tiers):
+            p = float(joint[k].sum())
+            se = math.sqrt(max(p * (1.0 - p), 0.0) / sim.drops)
+            out[k] = [p] * len(xs), [se] * len(xs)
+        return out
+    if kind == "rate":
+        stats = {None: montecarlo.empirical_rate_coverage(cfg, sim, xs)}
+    else:
+        batch = montecarlo.simulate(cfg, sim, sigma_be_rad=sigma,
+                                    loads=[1.0] * cfg.n_tiers)
+        stats = {mode: montecarlo.empirical_coverage(cfg, sim, xs, mode=mode,
+                                                     batch=batch)
+                 for mode in ("sinr", "snr")}
+    return {key: (list(map(float, probs)), list(map(float, ses)))
+            for key, (probs, ses) in stats.items()}
+
+
+def _mc_jobs(curve: _Curve, sim: montecarlo.SimConfig) -> list[tuple]:
+    """One Monte Carlo job per run of consecutive points sharing a config."""
+    kind, _ = _mc_statistic(curve)
+    return [(kind, curve.metric.sigma, cfg, tuple(arg for _, _, arg in run),
+             sim)
+            for cfg, run in itertools.groupby(curve.points, lambda p: p[1])]
 
 
 def _tag(value: float) -> str:
@@ -301,7 +323,7 @@ def _threshold_curves(scn: Scenario, curves: list[tuple]) -> list[_Curve]:
 
 def _bias_curves(scn: Scenario, base: NetworkConfig, tiers: list[int],
                  curves: list[tuple]) -> list[_Curve]:
-    """One curve over grid.bias_db per (filename, metric, argument).
+    """One curve over grid.bias_db per (filename, metric, argument[, tier]).
 
     The config at each bias is `base` with `tiers` biased by it.
     """
@@ -309,15 +331,14 @@ def _bias_curves(scn: Scenario, base: NetworkConfig, tiers: list[int],
     configs = [with_bias(base, {i: db_to_linear(b) for i in tiers})
                for b in biases]
     return [_Curve(name, metric, [(b, cfg, arg)
-                                  for b, cfg in zip(biases, configs)])
-            for name, metric, arg in curves]
+                                  for b, cfg in zip(biases, configs)], *tier)
+            for name, metric, arg, *tier in curves]
 
 
 def _assoc_curves(scn: Scenario, suffix: str) -> list[tuple]:
     tiers = scn.config.tiers
     return [(f"assoc_{t.name or f'tier{k}'}{suffix}.csv",
-             _metric(scn, "assoc", tier=k), None)
-            for k, t in enumerate(tiers)]
+             _metric(scn, "assoc"), None, k) for k, t in enumerate(tiers)]
 
 
 def _sinr_vs_snr(scn: Scenario) -> list[_Curve]:
@@ -431,10 +452,15 @@ def _pmap(fn: Callable, items: list, workers: int) -> list:
 
 
 def _run_jobs(fn: Callable, per_curve: list[list], workers: int) -> list[list]:
-    """Evaluate every curve's jobs in one pool; results regrouped per curve."""
-    results = iter(_pmap(fn, [job for jobs in per_curve for job in jobs],
-                         workers))
-    return [[next(results) for _ in jobs] for jobs in per_curve]
+    """Evaluate each distinct job once in one pool; results per curve.
+
+    Jobs are hashable tuples, so equal jobs of different curves or points
+    (one config's association table, one drop set's sinr and snr
+    statistics) share one evaluation.
+    """
+    unique = list(dict.fromkeys(job for jobs in per_curve for job in jobs))
+    results = dict(zip(unique, _pmap(fn, unique, workers)))
+    return [[results[job] for job in jobs] for jobs in per_curve]
 
 
 def _format(value: float) -> str:
@@ -446,11 +472,14 @@ def _write_curve(path: Path, curve: _Curve, analytic: list[tuple],
     header = "x,analytic,quad_error,flag"
     if mc:
         header += ",monte_carlo,mc_stderr"
-        mc_values = [v for values, _ in mc for v in values]
-        mc_ses = [s for _, ses in mc for s in ses]
+        stat = _mc_statistic(curve)[1]
+        mc_values = [v for result in mc for v in result[stat][0]]
+        mc_ses = [s for result in mc for s in result[stat][1]]
     lines = [header]
     for i, (x, _, _) in enumerate(curve.points):
         value, err, ok = analytic[i]
+        if curve.metric.kind == "assoc":
+            value = value[curve.tier]
         row = [_format(x), _format(value), _format(err),
                "" if ok else "nonconverged"]
         if mc:
@@ -481,7 +510,8 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
         _eval_analytic,
         [[(c.metric, cfg, arg) for _, cfg, arg in c.points] for c in curves],
         n_workers)
-    mc = _run_jobs(_eval_mc, [_mc_jobs(c, scn.monte_carlo) for c in curves],
+    sim = scn.monte_carlo
+    mc = _run_jobs(_eval_mc, [_mc_jobs(c, sim) if sim else [] for c in curves],
                    n_workers)
 
     out = Path(output_dir) if output_dir is not None else Path(

@@ -232,8 +232,8 @@ def test_threshold_shapes(table1):
 
 def test_conditional_decomposition(table1):
     cv = sinr_coverage(table1, [db_to_linear(0.0)])
-    t = cv.association
-    mix = sum(cv.conditional(k)[0] * t.per_tier[k] for k in range(3))
+    t = association_table(table1)
+    mix = sum(cv.conditional(k, t)[0] * t.per_tier[k] for k in range(3))
     assert mix == pytest.approx(cv.probability[0], rel=1e-9)
 
 

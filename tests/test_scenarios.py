@@ -2,12 +2,14 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from hetnetsim import association, montecarlo
 from hetnetsim.association import association_table
 from hetnetsim.coverage import (coverage_with_beam_error, sinr_coverage,
                                 snr_coverage_closed_form)
@@ -177,6 +179,91 @@ def test_assoc_scenario_with_mc_points(tmp_path):
     assert float(rows_a[1][1]) < float(rows_a[0][1])
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name, wherever a hetnetsim module holds it."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("hetnetsim")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_sinr_vs_snr_simulates_each_drop_set_once(tmp_path, monkeypatch):
+    body = {"name": "both", "experiment": "SINR_VS_SNR",
+            "config": small_config(2),
+            "grid": {"threshold_db": [-5.0, 5.0], "tier_counts": [1, 2]},
+            "monte_carlo": {"drops": 2000, "seed": 7, "chunks": 2}}
+    scn = load_scenario(write_scenario(tmp_path, body))
+    thresholds = [db_to_linear(t) for t in body["grid"]["threshold_db"]]
+    # the CSV of one curve as computed on its own: analytic points one at a
+    # time and a separate simulation per curve
+    expected = {}
+    for n in (1, 2):
+        cfg = scn.config.subset(tuple(range(n)))
+        for mode in ("sinr", "snr"):
+            mc, se = montecarlo.empirical_coverage(
+                cfg, scn.monte_carlo, thresholds, mode=mode)
+            lines = ["x,analytic,quad_error,flag,monte_carlo,mc_stderr"]
+            for i, (t_db, t) in enumerate(zip(body["grid"]["threshold_db"],
+                                              thresholds)):
+                cv = sinr_coverage(cfg, [t], mode=mode)
+                lines.append(",".join(f"{float(v):.12g}" for v in (
+                    t_db, cv.probability[0], cv.error[0]))
+                    + f",,{float(mc[i]):.12g},{float(se[i]):.12g}")
+            expected[f"{mode}_tiers{n}.csv"] = "\n".join(lines) + "\n"
+
+    calls = _count_calls(monkeypatch, montecarlo, "simulate")
+    result = run_scenario(scn, output_dir=tmp_path / "out", workers=1)
+    assert len(calls) == 2
+    assert result.files == tuple(sorted(expected))
+    for name, text in expected.items():
+        assert (tmp_path / "out" / name).read_bytes() == text.encode()
+
+
+def test_assoc_vs_bias_tabulates_and_simulates_each_config_once(
+        tmp_path, monkeypatch):
+    body = {"name": "assoc3", "experiment": "ASSOC_VS_BIAS",
+            "config": "bundled:table1",
+            "grid": {"bias_db": [0.0, 4.0, 8.0, 12.0]},
+            "monte_carlo": {"drops": 2000, "seed": 3, "chunks": 2}}
+    scn = load_scenario(write_scenario(tmp_path, body))
+    tables = _count_calls(monkeypatch, association, "association_table")
+    drops = _count_calls(monkeypatch, montecarlo, "simulate")
+    result = run_scenario(scn, output_dir=tmp_path / "out", workers=1)
+    assert len(result.files) == 3
+    assert len(tables) == 4
+    assert len(drops) == 4
+
+
+def test_coverage_builds_no_association_table(tmp_path, monkeypatch):
+    tables = _count_calls(monkeypatch, association, "association_table")
+    body = {"name": "gain", "experiment": "GAIN_SWEEP", "mode": "snr",
+            "config": small_config(2),
+            "grid": {"threshold_db": [0.0, 5.0], "main_gain_db": [5.0, 12.0]}}
+    run_scenario(load_scenario(write_scenario(tmp_path, body)),
+                 output_dir=tmp_path / "out", workers=1)
+    sinr_coverage(network_from_dict(small_config(2)), [1.0])
+    assert tables == []
+
+
+def test_energy_refuses_monte_carlo(tmp_path):
+    body = {"name": "ee", "experiment": "ENERGY", "config": small_config(2),
+            "grid": {"bias_db": [0.0]},
+            "monte_carlo": {"drops": 2000, "seed": 3, "chunks": 2}}
+    scn = load_scenario(write_scenario(tmp_path, body))
+    target = tmp_path / "ee"
+    with pytest.raises(ConfigError, match="no Monte Carlo estimator"):
+        run_scenario(scn, output_dir=target)
+    assert not target.exists()
+
+
 def test_load_scenario_rejects_unknown_keys(tmp_path):
     body = json.loads(
         BUNDLED_SCENARIOS.joinpath("hybrid_bias.json").read_text())
@@ -321,8 +408,10 @@ def test_every_experiment_end_to_end(tmp_path, experiment):
     hybrid, x_key, grid, expected = END_TO_END[experiment]
     body = {"name": "e2e", "experiment": experiment.value,
             "config": "bundled:hybrid" if hybrid else small_config(2),
-            "grid": grid, "monte_carlo": {"drops": 3000, "seed": 2,
-                                          "chunks": 2}}
+            "grid": grid}
+    # energy efficiency has no Monte Carlo estimator and refuses the block
+    if experiment is not Experiment.ENERGY:
+        body["monte_carlo"] = {"drops": 3000, "seed": 2, "chunks": 2}
     scn = load_scenario(write_scenario(tmp_path, body))
     result = run_scenario(scn, output_dir=tmp_path / "out")
     assert result.files == tuple(sorted(expected))
