@@ -6,8 +6,8 @@ used to validate them.
 """
 
 from .association import (AssociationTable, association_approx,
-                          association_closed_form_2tier, association_prob,
-                          association_table, mean_load, outage_probability)
+                          association_closed_form_2tier, association_table,
+                          mean_load, outage_probability)
 from .coverage import (CoverageCurve, alignment_probability,
                        coverage_with_beam_error, interference_term,
                        sinr_coverage, snr_coverage, snr_coverage_closed_form)
@@ -23,7 +23,7 @@ from .model import (AntennaPattern, BallSpec, Band, ConfigError, FadingConfig,
                     with_density_scale)
 from .montecarlo import (DropBatch, SimConfig, empirical_association,
                          empirical_coverage, empirical_rate_coverage, simulate)
-from .quadrature import IntegralResult, PiecewiseIntegrand, integrate
+from .quadrature import integrate
 from .scenarios import Experiment, Scenario, ScenarioResult, load_scenario, \
     run_scenario
 
@@ -32,13 +32,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AntennaPattern", "AssociationTable", "BallSpec", "Band",
     "ConfigError", "CoverageCurve", "DropBatch", "EnergyReport",
-    "Experiment", "FadingConfig", "IntegralResult", "LinkState",
-    "NetworkConfig", "PiecewiseIntegrand", "Scenario", "ScenarioResult",
-    "SimConfig", "TierConfig", "alignment_probability",
+    "Experiment", "FadingConfig", "LinkState", "NetworkConfig", "Scenario",
+    "ScenarioResult", "SimConfig", "TierConfig", "alignment_probability",
     "association_approx", "association_closed_form_2tier",
-    "association_prob", "association_table", "breakpoints",
-    "bundled_config", "coverage_with_beam_error", "db_to_linear",
-    "dbm_to_watts", "empirical_association", "empirical_coverage",
+    "association_table", "breakpoints", "bundled_config",
+    "coverage_with_beam_error", "db_to_linear", "dbm_to_watts",
+    "empirical_association", "empirical_coverage",
     "empirical_rate_coverage", "energy_efficiency",
     "equivalent_thresholds", "friis_kappa", "integrate",
     "interference_term", "lambda_density", "lambda_split", "lambda_total",

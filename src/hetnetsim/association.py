@@ -5,6 +5,8 @@ averaged received power P_k G_k B_k / L.  With each tier's path-loss process a
 PPP on the loss axis, the joint probability of associating with tier k through
 a state-s link is an integral of that tier's state density against the void
 probabilities of every competing tier, scaled by the power/gain/bias ratios.
+The coverage integral is the same integral with a coverage factor inside, so
+both are computed by one per-annulus serving-link integral.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ import numpy as np
 
 from . import intensity
 from .model import LinkState, NetworkConfig
+from .quadrature import integrate
 
 _STATES = (LinkState.LOS, LinkState.NLOS)
+
+# tolerances of association_table's integrals; ABS_TOL bounds each tier
+# and state's v-integral (split over its annuli) before the pi lambda w
+# weight, so in probability units it is ABS_TOL times that weight
+ABS_TOL = 1e-9
+REL_TOL = 1e-7
 
 
 def power_ratios(cfg: NetworkConfig, k: int) -> np.ndarray:
@@ -49,63 +58,72 @@ class AssociationTable:
         return float(self.joint.sum())
 
 
-def _association_integrand(cfg: NetworkConfig, k: int, state: LinkState,
-                           ratios: np.ndarray):
-    tier = cfg.tiers[k]
+def _serving_integral(cfg: NetworkConfig, k: int, state: LinkState,
+                      integrand, kinks=(), abs_tol: float = ABS_TOL,
+                      rel_tol: float = REL_TOL) -> tuple[float, float, bool]:
+    """Integral of integrand(l, void) against tier k's state-s loss density.
 
-    def evaluator(l: np.ndarray) -> np.ndarray:
-        expo = np.zeros_like(l)
-        for j, tj in enumerate(cfg.tiers):
-            expo += intensity.lambda_total(tj, ratios[j] * l)
-        return intensity.lambda_density(tier, state, l) * np.exp(-expo)
-
-    return evaluator
-
-
-def _association_breakpoints(cfg: NetworkConfig, k: int, state: LinkState,
-                             ratios: np.ndarray, hi: float) -> tuple[float, ...]:
-    pts = set(intensity.breakpoints(cfg.tiers[k]))
-    for j, tj in enumerate(cfg.tiers):
-        pts.update(p / ratios[j] for p in intensity.breakpoints(tj))
-    # the void factor can decay within a sliver of the support; geometric
-    # seeding keeps the first adaptive pass from stepping over that sliver
-    pts.update(hi * np.geomspace(1e-14, 1.0, 29))
-    return tuple(sorted(pts))
-
-
-def association_prob(cfg: NetworkConfig, k: int, state: LinkState,
-                     abs_tol: float = 1e-9, rel_tol: float = 1e-7):
-    """Joint probability of association with tier k over a state-s link.
-
-    Returns an IntegralResult; its value is the probability mass.
+    void is the exponent sum_j Lambda_j(c_j l) of the probability that no
+    station of any tier beats the serving one at loss l; integrand
+    exp(-void) gives the joint association probability.  Each active
+    annulus is integrated in v = r**2, where the density is the constant
+    pi lambda_k w and l = kappa v**(alpha/2), with panels cut at the
+    competitors' kinks bp/c_j, the extra path-loss kinks given, and 12
+    geometric seeds.  abs_tol / (number of annuli) bounds each annulus's
+    v-integral before the pi lambda_k w weight multiplies it.  Returns
+    (value, error, converged).
     """
-    from .quadrature import integrate_function
-
-    if state is LinkState.OUTAGE:
-        raise ValueError("association is undefined with the outage state")
+    tier = cfg.tiers[k]
+    segs = intensity.state_segments(tier, state)
+    if not segs:
+        return 0.0, 0.0, True
     ratios = power_ratios(cfg, k)
-    hi = intensity.max_loss(cfg.tiers[k], state)
-    if hi <= 0.0:
-        from .quadrature import IntegralResult
-        return IntegralResult(0.0, 0.0, True, 0, 0)
-    return integrate_function(
-        _association_integrand(cfg, k, state, ratios), (0.0, hi),
-        _association_breakpoints(cfg, k, state, ratios, hi),
-        abs_tol=abs_tol, rel_tol=rel_tol)
+
+    def f_of_l(l: np.ndarray) -> np.ndarray:
+        void = np.zeros_like(l)
+        for j, tj in enumerate(cfg.tiers):
+            void += intensity.lambda_total(tj, ratios[j] * l)
+        return integrand(l, void)
+
+    all_kinks = set(kinks)
+    for j, tj in enumerate(cfg.tiers):
+        all_kinks.update(bp / ratios[j] for bp in intensity.breakpoints(tj))
+
+    value, err = 0.0, 0.0
+    converged = True
+    for seg in segs:
+        def ev(v: np.ndarray, _seg=seg) -> np.ndarray:
+            return f_of_l(_seg.kappa * v ** (0.5 * _seg.alpha))
+
+        v_kinks = [(x / seg.kappa) ** (2.0 / seg.alpha)
+                   for x in all_kinks if seg.lo_x < x < seg.hi_x]
+        # the void factor can decay within a sliver of the annulus; geometric
+        # seeding keeps the first adaptive pass from stepping over that sliver
+        width = seg.hi_r2 - seg.lo_r2
+        v_kinks.extend(seg.lo_r2 + width * np.geomspace(1e-12, 1.0, 13)[:-1])
+        res = integrate(ev, (seg.lo_r2, seg.hi_r2), v_kinks,
+                        abs_tol=abs_tol / len(segs), rel_tol=rel_tol)
+        w = math.pi * tier.density * seg.weight
+        value += w * res.value
+        err += w * res.error
+        converged = converged and res.converged
+    return value, err, converged
 
 
-def association_table(cfg: NetworkConfig, abs_tol: float = 1e-9,
-                      rel_tol: float = 1e-7) -> AssociationTable:
+def association_table(cfg: NetworkConfig, abs_tol: float = ABS_TOL,
+                      rel_tol: float = REL_TOL) -> AssociationTable:
     """All joint association probabilities A_{k,s} and the outage probability."""
     joint = np.zeros((cfg.n_tiers, 2))
     err = 0.0
     converged = True
     for k in range(cfg.n_tiers):
         for col, state in enumerate(_STATES):
-            res = association_prob(cfg, k, state, abs_tol=abs_tol, rel_tol=rel_tol)
-            joint[k, col] = res.value
-            err += res.error
-            converged = converged and res.converged
+            value, e, ok = _serving_integral(
+                cfg, k, state, lambda l, void: np.exp(-void),
+                abs_tol=abs_tol, rel_tol=rel_tol)
+            joint[k, col] = value
+            err += e
+            converged = converged and ok
     return AssociationTable(joint=joint, outage=outage_probability(cfg),
                             error=err, converged=converged)
 

@@ -25,10 +25,14 @@ import numpy as np
 from scipy.special import erf, erfcx, exprel, hyp2f1
 
 from . import intensity
-from .association import AssociationTable, power_ratios
-from .model import LinkState, NetworkConfig
+from .association import AssociationTable, _serving_integral, power_ratios
+from .model import Band, LinkState, NetworkConfig
 
 _STATES = (LinkState.LOS, LinkState.NLOS)
+
+# tolerances of the serving-loss integral of every coverage term
+OUTER_ABS_TOL = 1e-7
+OUTER_REL_TOL = 1e-6
 
 EXCLUSION_MODES = ("with_gains", "without_gains")
 
@@ -193,74 +197,39 @@ def _normalize_thresholds(cfg: NetworkConfig, thresholds) -> np.ndarray:
 
 
 def _term(cfg: NetworkConfig, k: int, state: LinkState, gamma_k: float,
-          g0_k: float, mode: str, excl_ratios: np.ndarray,
-          outer_abs_tol: float, outer_rel_tol: float):
+          mode: str, excl_ratios: np.ndarray):
     """Joint mass of {associated via (k, state)} and {SINR > gamma_k}."""
-    from .quadrature import integrate_function
-
     tier = cfg.tiers[k]
-    segs = intensity.state_segments(tier, state)
-    if not segs:
-        return 0.0, 0.0, True
     n_serv = cfg.fading.n(state)
     eta_s = eta(n_serv)
     n_arr = np.arange(1, n_serv + 1)
     coefs = np.array([(-1.0) ** (n + 1) * math.comb(n_serv, n) for n in n_arr])
-    ratios = power_ratios(cfg, k)
     band = cfg.same_band_tiers(k) if mode == "sinr" else ()
-    noise_rate = eta_s * gamma_k * tier.noise_power / (tier.tx_power * g0_k)
+    g0 = tier.serving_gain
+    noise_rate = eta_s * gamma_k * tier.noise_power / (tier.tx_power * g0)
 
-    def f_of_l(l: np.ndarray) -> np.ndarray:
-        assoc = np.zeros_like(l)
-        for j, tj in enumerate(cfg.tiers):
-            assoc += intensity.lambda_total(tj, ratios[j] * l)
-        logs = -(n_arr[:, None] * noise_rate) * l[None, :] - assoc[None, :]
+    def integrand(l: np.ndarray, void: np.ndarray) -> np.ndarray:
+        logs = -void[None, :] - (n_arr[:, None] * noise_rate) * l[None, :]
         for j in band:
             for s_int in _STATES:
                 logs -= _interference_batch(cfg, k, j, s_int, gamma_k, l,
-                                            n_arr, g0_k, excl_ratios[j])
+                                            n_arr, g0, excl_ratios[j])
         return coefs @ np.exp(logs)
 
-    # breakpoints in serving path loss from every competitor's kinks
-    kinks = set()
-    for j, tj in enumerate(cfg.tiers):
-        for bp in intensity.breakpoints(tj):
-            kinks.add(bp / ratios[j])
-            if j in band:
-                kinks.add(bp / excl_ratios[j])
-
-    value, err = 0.0, 0.0
-    converged = True
-    for seg in segs:
-        def ev(v: np.ndarray, _seg=seg) -> np.ndarray:
-            return f_of_l(_seg.kappa * v ** (0.5 * _seg.alpha))
-
-        v_kinks = [(x / seg.kappa) ** (2.0 / seg.alpha)
-                   for x in kinks if seg.lo_x < x < seg.hi_x]
-        # same decay-sliver guard as the association integral
-        width = seg.hi_r2 - seg.lo_r2
-        v_kinks.extend(seg.lo_r2 + width * np.geomspace(1e-12, 1.0, 13)[:-1])
-        res = integrate_function(ev, (seg.lo_r2, seg.hi_r2), tuple(v_kinks),
-                                 abs_tol=outer_abs_tol / len(segs),
-                                 rel_tol=outer_rel_tol)
-        w = math.pi * tier.density * seg.weight
-        value += w * res.value
-        err += w * res.error
-        converged = converged and res.converged
-    return value, err, converged
+    # the interferers' exclusion boundaries kink the integrand too
+    kinks = [bp / excl_ratios[j]
+             for j in band for bp in intensity.breakpoints(cfg.tiers[j])]
+    return _serving_integral(cfg, k, state, integrand, kinks,
+                             abs_tol=OUTER_ABS_TOL, rel_tol=OUTER_REL_TOL)
 
 
 def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
-                  serving_gain_override: float | None = None,
-                  exclusion_zone: str = "with_gains",
-                  outer_abs_tol: float = 1e-7,
-                  outer_rel_tol: float = 1e-6) -> CoverageCurve:
+                  exclusion_zone: str = "with_gains") -> CoverageCurve:
     """Coverage probability across a threshold grid.
 
     thresholds are linear; pass an (n, K) array for per-tier values (rate
-    coverage does).  mode "sinr" includes same-band interference, "snr" drops
-    it.  serving_gain_override replaces the aligned serving gain G0 in the
-    SINR numerator only; association keeps the intended gains.
+    coverage and beam error do).  mode "sinr" includes same-band
+    interference, "snr" drops it.
     """
     if mode not in ("sinr", "snr"):
         raise ValueError(f"mode must be 'sinr' or 'snr', got {mode!r}")
@@ -271,19 +240,15 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
     conv = np.ones(n_pts, dtype=bool)
     for i in range(n_pts):
         for k in range(cfg.n_tiers):
-            g0_k = serving_gain_override if serving_gain_override is not None \
-                else cfg.tiers[k].serving_gain
             excl = _exclusion_ratios(cfg, k, exclusion_zone)
             for col, state in enumerate(_STATES):
-                v, e, ok = _term(cfg, k, state, grid[i, k], g0_k, mode, excl,
-                                 outer_abs_tol, outer_rel_tol)
+                v, e, ok = _term(cfg, k, state, grid[i, k], mode, excl)
                 joint[i, k, col] = v
                 errs[i] += e
                 conv[i] = conv[i] and ok
     return CoverageCurve(
         x=grid[:, 0], probability=joint.sum(axis=(1, 2)), joint=joint,
-        error=errs, converged=conv, mode=mode, exclusion_zone=exclusion_zone,
-        meta={"serving_gain_override": serving_gain_override})
+        error=errs, converged=conv, mode=mode, exclusion_zone=exclusion_zone)
 
 
 def snr_coverage(cfg: NetworkConfig, thresholds, **kwargs) -> CoverageCurve:
@@ -343,9 +308,7 @@ def _quadratic_pieces(cfg: NetworkConfig, ratios: np.ndarray, x_lo: float,
         yield x0, x1, b, c, d
 
 
-def snr_coverage_closed_form(cfg: NetworkConfig, thresholds, *,
-                             serving_gain_override: float | None = None
-                             ) -> CoverageCurve:
+def snr_coverage_closed_form(cfg: NetworkConfig, thresholds) -> CoverageCurve:
     """Noise-limited coverage in closed form for alpha pairs (2, 4).
 
     In the x = sqrt(path loss) variable every exponent is piecewise quadratic,
@@ -362,13 +325,12 @@ def snr_coverage_closed_form(cfg: NetworkConfig, thresholds, *,
     joint = np.zeros((n_pts, cfg.n_tiers, 2))
     for i in range(n_pts):
         for k, tier in enumerate(cfg.tiers):
-            g0_k = serving_gain_override if serving_gain_override is not None \
-                else tier.serving_gain
             ratios = power_ratios(cfg, k)
             for col, state in enumerate(_STATES):
                 n_serv = cfg.fading.n(state)
                 eta_s = eta(n_serv)
-                a1 = eta_s * grid[i, k] * tier.noise_power / (tier.tx_power * g0_k)
+                a1 = (eta_s * grid[i, k] * tier.noise_power
+                      / (tier.tx_power * tier.serving_gain))
                 acc = 0.0
                 for seg in intensity.state_segments(tier, state):
                     if seg.alpha == 2.0:
@@ -397,8 +359,7 @@ def snr_coverage_closed_form(cfg: NetworkConfig, thresholds, *,
     return CoverageCurve(
         x=x, probability=joint.sum(axis=(1, 2)), joint=joint,
         error=np.zeros(n_pts), converged=np.ones(n_pts, dtype=bool),
-        mode="closed24", exclusion_zone="with_gains",
-        meta={"serving_gain_override": serving_gain_override})
+        mode="closed24", exclusion_zone="with_gains")
 
 
 def alignment_probability(beamwidth_rad: float, sigma_be_rad: float) -> float:
@@ -415,24 +376,42 @@ def coverage_with_beam_error(cfg: NetworkConfig, thresholds,
                              **kwargs) -> CoverageCurve:
     """Coverage with independent Gaussian alignment errors at both link ends.
 
-    Each end stays on its main lobe with probability F, so the serving gain is
-    a three-point mixture and the curve is the matching mixture of coverage
-    curves with the serving gain overridden.
+    Each end stays on its main lobe with a probability set by its own
+    beamwidth: the user end has the mmWave pattern, the base-station end its
+    tier's band pattern.  The serving gain g is then a mixture over the lobe
+    pairs.  It enters coverage only through gamma / g, so each part is
+    coverage at the thresholds gamma G_k / g with the intended gains G_k, and
+    all parts are rows of one grid.  Parts with equal gains on every tier
+    merge, and a part of weight zero on every tier is not computed.
     """
-    f_align = alignment_probability(cfg.pattern.beamwidth_rad, sigma_be_rad)
-    mg, sg = cfg.pattern.main_gain, cfg.pattern.side_gain
-    weights = (f_align ** 2, 2.0 * f_align * (1.0 - f_align), (1.0 - f_align) ** 2)
-    gains = (mg * mg, mg * sg, sg * sg)
-    # a part of weight zero (every part but the first at sigma 0) adds
-    # nothing, so it is neither computed nor consulted for convergence
-    parts = [(w, sinr_coverage(cfg, thresholds, mode=mode,
-                               serving_gain_override=g, **kwargs))
-             for w, g in zip(weights, gains) if w > 0.0]
-    joint = sum(w * p.joint for w, p in parts)
-    first = parts[0][1]
+    grid = _normalize_thresholds(cfg, thresholds)
+    ue = cfg.pattern
+    f_ue = alignment_probability(ue.beamwidth_rad, sigma_be_rad)
+    # (probability, gain) of the main and the side lobe at each tier's BS end
+    bs_lobes = []
+    for tier in cfg.tiers:
+        bs = cfg.mu_pattern if tier.band is Band.MICROWAVE else ue
+        f_bs = alignment_probability(bs.beamwidth_rad, sigma_be_rad)
+        bs_lobes.append(((f_bs, bs.main_gain), (1.0 - f_bs, bs.side_gain)))
+    # per-tier serving gains of each (user lobe, BS lobe) pair -> weights
+    parts: dict[tuple, np.ndarray] = {}
+    for f, g_ue in ((f_ue, ue.main_gain), (1.0 - f_ue, ue.side_gain)):
+        for lobe in (0, 1):
+            gains = tuple(g_ue * bs[lobe][1] for bs in bs_lobes)
+            weights = np.array([f * bs[lobe][0] for bs in bs_lobes])
+            parts[gains] = parts.get(gains, 0.0) + weights
+    parts = {g: w for g, w in parts.items() if np.any(w > 0.0)}
+    serving = np.array([t.serving_gain for t in cfg.tiers])
+    curve = sinr_coverage(
+        cfg, np.vstack([grid * (serving / np.array(g)) for g in parts]),
+        mode=mode, **kwargs)
+    w = np.array(list(parts.values()))                      # (parts, K)
+    shape = (len(w), grid.shape[0])
+    joint = (w[:, None, :, None]
+             * curve.joint.reshape(*shape, cfg.n_tiers, 2)).sum(axis=0)
+    error = (w.max(axis=1)[:, None] * curve.error.reshape(shape)).sum(axis=0)
     return CoverageCurve(
-        x=first.x, probability=joint.sum(axis=(1, 2)), joint=joint,
-        error=sum(w * p.error for w, p in parts),
-        converged=np.logical_and.reduce([p.converged for _, p in parts]),
-        mode=first.mode, exclusion_zone=first.exclusion_zone,
-        meta={"sigma_be_rad": sigma_be_rad, "alignment_probability": f_align})
+        x=grid[:, 0], probability=joint.sum(axis=(1, 2)), joint=joint,
+        error=error, converged=curve.converged.reshape(shape).all(axis=0),
+        mode=curve.mode, exclusion_zone=curve.exclusion_zone,
+        meta={"sigma_be_rad": sigma_be_rad, "alignment_probability": f_ue})

@@ -41,21 +41,6 @@ G7_WEIGHTS[1::2] = [
 
 
 @dataclass(frozen=True)
-class PiecewiseIntegrand:
-    """A vectorized integrand with declared kinks and compact support.
-
-    evaluator maps an ndarray of abscissae to same-shape values; it must be
-    finite on the open support.  breakpoints are abscissae where smoothness
-    may fail (discontinuities of the function or its derivatives); points
-    outside the support are ignored.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    breakpoints: tuple[float, ...]
-    support: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class IntegralResult:
     value: float
     error: float       # estimated absolute error
@@ -77,25 +62,33 @@ def _initial_cuts(support: tuple[float, float], breakpoints) -> np.ndarray:
     return np.array(cuts)
 
 
-def integrate(f: PiecewiseIntegrand, abs_tol: float = 1e-9,
-              rel_tol: float = 1e-7, max_panels: int = 8192) -> IntegralResult:
-    """Integrate f over its support with breakpoint-aligned adaptive panels."""
-    a, b = f.support
+def integrate(evaluator: Callable[[np.ndarray], np.ndarray],
+              support: tuple[float, float], breakpoints=(),
+              abs_tol: float = 1e-9, rel_tol: float = 1e-7,
+              max_panels: int = 8192) -> IntegralResult:
+    """Integrate evaluator over support with breakpoint-aligned adaptive panels.
+
+    evaluator maps an ndarray of abscissae to same-shape values and must be
+    finite on the open support.  breakpoints are abscissae where smoothness
+    may fail (discontinuities of the function or its derivatives); points
+    outside the support are ignored.
+    """
+    a, b = support
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"support must be bounded, got {f.support}")
+        raise ValueError(f"support must be bounded, got {support}")
     if b < a:
-        raise ValueError(f"support upper edge below lower edge: {f.support}")
+        raise ValueError(f"support upper edge below lower edge: {support}")
     if b == a:
         return IntegralResult(0.0, 0.0, True, 0, 0)
 
-    cuts = _initial_cuts((a, b), f.breakpoints)
+    cuts = _initial_cuts((a, b), breakpoints)
     lo, hi = cuts[:-1].copy(), cuts[1:].copy()
 
     def _panel_sums(plo, phi):
         half = 0.5 * (phi - plo)
         mid = 0.5 * (phi + plo)
         nodes = mid[:, None] + half[:, None] * K15_NODES[None, :]
-        vals = np.asarray(f.evaluator(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        vals = np.asarray(evaluator(nodes.ravel()), dtype=float).reshape(nodes.shape)
         k15 = half * (vals @ K15_WEIGHTS)
         g7 = half * (vals @ G7_WEIGHTS)
         return k15, np.abs(k15 - g7)
@@ -137,12 +130,3 @@ def integrate(f: PiecewiseIntegrand, abs_tol: float = 1e-9,
         values = np.concatenate([values[keep], values[split][degenerate], c_val])
         errors = np.concatenate([errors[keep], errors[split][degenerate], c_err])
 
-
-def integrate_function(evaluator: Callable[[np.ndarray], np.ndarray],
-                       support: tuple[float, float],
-                       breakpoints: tuple[float, ...] = (),
-                       abs_tol: float = 1e-9, rel_tol: float = 1e-7,
-                       max_panels: int = 8192) -> IntegralResult:
-    """Convenience wrapper building the PiecewiseIntegrand inline."""
-    return integrate(PiecewiseIntegrand(evaluator, tuple(breakpoints), support),
-                     abs_tol=abs_tol, rel_tol=rel_tol, max_panels=max_panels)

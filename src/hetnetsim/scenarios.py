@@ -31,8 +31,9 @@ from .model import (Band, ConfigError, NetworkConfig,
                     db_to_linear, network_from_dict, with_antenna,
                     with_balls, with_bias, with_density_scale)
 
-_TOLERANCES = {"outer_abs_tol": 1e-7, "outer_rel_tol": 1e-6,
-               "assoc_abs_tol": 1e-9}
+_TOLERANCES = {"outer_abs_tol": coverage.OUTER_ABS_TOL,
+               "outer_rel_tol": coverage.OUTER_REL_TOL,
+               "assoc_abs_tol": association.ABS_TOL}
 
 _SCENARIO_KEYS = ("name", "experiment", "config", "grid", "mode",
                   "exclusion_zone", "monte_carlo", "output_dir", "workers")

@@ -260,7 +260,7 @@ def test_criterion_13_property_suite_on_random_configs():
 
             x_top = float(xs.max())
             if x_top > 0.0:
-                res = quadrature.integrate_function(
+                res = quadrature.integrate(
                     lambda t: (intensity.lambda_density(tier, LinkState.LOS, t)
                                + intensity.lambda_density(
                                    tier, LinkState.NLOS, t)),

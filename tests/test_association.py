@@ -9,9 +9,9 @@ import pytest
 from conftest import make_network, make_tier, random_network
 from hetnetsim.association import (AssociationTable, association_approx,
                                    association_closed_form_2tier,
-                                   association_prob, association_table,
+                                   association_table,
                                    mean_load, outage_probability)
-from hetnetsim.model import LinkState, validate
+from hetnetsim.model import validate
 from hetnetsim.montecarlo import SimConfig, empirical_association
 
 
@@ -96,8 +96,8 @@ def test_closed_form_matches_quadrature():
         cfg = two_tier(rng)
         for k in (0, 1):
             closed = association_closed_form_2tier(cfg, k)
-            quad = association_prob(cfg, k, LinkState.LOS,
-                                    abs_tol=1e-12, rel_tol=1e-10).value
+            quad = association_table(cfg, abs_tol=1e-12,
+                                     rel_tol=1e-10).joint[k, 0]
             assert closed == pytest.approx(quad, abs=1e-6)
 
 
@@ -157,11 +157,29 @@ def test_outage_probability_value(table1):
 
 
 def test_association_prob_converges(table1):
-    for k in range(3):
-        for state in (LinkState.LOS, LinkState.NLOS):
-            res = association_prob(table1, k, state)
-            assert res.converged
-            assert 0.0 <= res.value <= 1.0
+    t = association_table(table1)
+    assert t.converged
+    assert np.all((0.0 <= t.joint) & (t.joint <= 1.0))
+
+
+def test_association_mass_complete_on_extreme_tiers():
+    # tier 0 (weak power, large intercept, tiny bias) holds only about
+    # 3.6e-7 of the mass; an integral that steps over it misses completeness
+    # by more than its own error estimate
+    cfg = make_network([
+        make_tier(density=6.128e-4, p_dbm=19.54, bias=0.01349,
+                  radii=(202.0, 1118.5, 1561.1),
+                  betas=(0.5361, 0.7483, 0.8966), alpha_los=1.776,
+                  kappa_los=2.491e6),
+        make_tier(density=4.026e-4, p_dbm=59.84, bias=3262.0,
+                  radii=(1937.1,), betas=(0.843,), alpha_los=2.688,
+                  kappa_los=1.348e5),
+        make_tier(density=6.144e-4, p_dbm=46.06, bias=0.3617,
+                  radii=(561.5, 2280.9), betas=(0.3782, 0.4198),
+                  alpha_los=2.0, kappa_los=2.183e4),
+    ])
+    t = association_table(cfg)
+    assert t.total + t.outage == pytest.approx(1.0, abs=t.error + 1e-9)
 
 
 def test_bias_shifts_association(table1):

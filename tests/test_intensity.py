@@ -163,10 +163,9 @@ def test_density_integrates_to_measure():
             if hi == 0.0:
                 continue
             x = 0.73 * hi
-            f = quadrature.PiecewiseIntegrand(
-                evaluator=lambda t: lambda_density(tier, state, t),
-                breakpoints=breakpoints(tier), support=(0.0, x))
-            res = quadrature.integrate(f, abs_tol=1e-12, rel_tol=1e-10)
+            res = quadrature.integrate(
+                lambda t: lambda_density(tier, state, t), (0.0, x),
+                breakpoints(tier), abs_tol=1e-12, rel_tol=1e-10)
             assert res.value == pytest.approx(
                 lambda_split(tier, state, x), rel=1e-8, abs=1e-14)
 

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hetnetsim.quadrature import PiecewiseIntegrand, integrate
+from hetnetsim.quadrature import integrate
 
 
 def run(fn, a, b, breakpoints=(), **kw):
-    f = PiecewiseIntegrand(evaluator=fn, breakpoints=tuple(breakpoints),
-                           support=(a, b))
-    return integrate(f, **kw)
+    return integrate(fn, (a, b), breakpoints, **kw)
 
 
 def test_linear_exact():
