@@ -9,8 +9,8 @@ from .association import (AssociationTable, association_approx,
                           association_closed_form_2tier, association_table,
                           mean_load, outage_probability)
 from .coverage import (CoverageCurve, alignment_probability,
-                       coverage_with_beam_error, interference_term,
-                       sinr_coverage, snr_coverage, snr_coverage_closed_form)
+                       coverage_with_beam_error, sinr_coverage, snr_coverage,
+                       snr_coverage_closed_form)
 from .intensity import (breakpoints, lambda_density, lambda_split,
                         lambda_total, max_loss, total_mass)
 from .metrics import (EnergyReport, energy_efficiency, equivalent_thresholds,
@@ -40,7 +40,7 @@ __all__ = [
     "empirical_association", "empirical_coverage",
     "empirical_rate_coverage", "energy_efficiency",
     "equivalent_thresholds", "friis_kappa", "integrate",
-    "interference_term", "lambda_density", "lambda_split", "lambda_total",
+    "lambda_density", "lambda_split", "lambda_total",
     "linear_to_db", "load_config", "load_scenario", "max_loss",
     "mean_load", "mean_loads", "network_from_dict", "noise_power_w",
     "outage_probability", "rate_coverage", "run_scenario", "simulate",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, erfcx, exprel, hyp2f1
+from scipy.special import erf, erfcx, hyp2f1
 
 from . import intensity
 from .association import AssociationTable, _serving_integral, power_ratios
@@ -59,7 +59,7 @@ def _exclusion_ratios(cfg: NetworkConfig, k: int, exclusion_zone: str) -> np.nda
                      f"got {exclusion_zone!r}")
 
 
-def _psi_antiderivative(n: int, p: float, c: np.ndarray, v: np.ndarray):
+def _psi_antiderivative(n: int, p: float, c, v):
     """An antiderivative in v of psi(n, c * v**(-1/p)) for the 2F1 piece."""
     with np.errstate(divide="ignore"):
         y = 1.0 / (1.0 + c * v ** (-1.0 / p))
@@ -68,7 +68,7 @@ def _psi_antiderivative(n: int, p: float, c: np.ndarray, v: np.ndarray):
         for m in range(1, n + 1))
 
 
-def _annulus_integral(n: int, delta: float, c, v0, v1: float) -> np.ndarray:
+def _annulus_integral(n: int, delta: float, c, v0, v1) -> np.ndarray:
     """Exact integral of psi(n, c * v**-delta) dv over [v0, v1], elementwise.
 
     c >= 0 and 0 < v0 <= v1 broadcast together.  With x = c * v**-delta,
@@ -78,40 +78,66 @@ def _annulus_integral(n: int, delta: float, c, v0, v1: float) -> np.ndarray:
     off 1, where 2F1 is slow.  Below x_s the binomial series of psi is
     integrated term by term; its absolute terms sum to (1-x_s)^-n at most.
     """
-    c, v0 = np.broadcast_arrays(c, v0)
+    c, v0, v1 = np.broadcast_arrays(c, v0, v1)
+    shape = c.shape
+    c, v0, v1 = c.ravel(), v0.ravel(), v1.ravel()
     p = 1.0 / delta
     x_s = min(0.5, 3.0 / n)
     # x = x_s at v = (c/x_s)^p: [v0, mid] is the 2F1 piece, [mid, v1] the series
     mid = np.clip((c / x_s) ** p, v0, v1)
-    near = mid > v0
-    closed = np.zeros(c.shape)
-    closed[near] = (_psi_antiderivative(n, p, c[near], mid[near])
-                    - _psi_antiderivative(n, p, c[near], v0[near]))
-    # x <= x_s on a nonempty series piece; on an empty one (span 0) the
-    # clamp keeps x^k from overflowing
-    x_mid = np.minimum(c * mid ** -delta, x_s)
-    x_hi = np.minimum(c * v1 ** -delta, x_s)
-    span = np.log1p((v1 - mid) / mid)          # log(v1 / mid)
+    out = np.zeros(c.size)
+    near = np.flatnonzero(mid > v0)
+    out[near] = -_psi_antiderivative(n, p, c[near], v0[near])
+    # a split inside the annulus has x = x_s, so its antiderivative there is
+    # mid times one number; one that reaches v1 is evaluated per element
+    reach = mid[near] == v1[near]
+    inner, top = near[~reach], near[reach]
+    out[inner] += mid[inner] * _psi_antiderivative(n, p, x_s, 1.0)
+    out[top] += _psi_antiderivative(n, p, c[top], v1[top])
     # psi = sum_k (-1)^(k+1) C(n+k-1, k) x^k, and with e = 1 - delta k and
-    # L = span, int_mid^v1 v^(-delta k) dv = v1^e L exprel(-e L)
-    # = mid^e L exprel(e L); the form with the negative argument cannot overflow
-    series = np.zeros(c.shape)
-    coef, pow_mid, pow_hi = -1.0, 1.0, 1.0
+    # L = log(v1 / mid), int_mid^v1 v^(-delta k) dv = mid^e expm1(e L) / e
+    # = -v1^e expm1(-e L) / e; the form with e L <= 0 cannot overflow.  Each
+    # series piece sums only until its own terms die out: the pieces are
+    # sorted by x at mid, roughly slowest last, and the loop runs over the
+    # suffix not yet converged; empty pieces (L = 0) are left out.
+    span = np.log1p((v1 - mid) / mid)
+    live = np.flatnonzero(span != 0.0)
+    # x <= x_s on a nonempty series piece
+    x_mid = np.minimum(c[live] * mid[live] ** -delta, x_s)
+    order = np.argsort(x_mid)
+    live, x_mid, span = live[order], x_mid[order], span[live[order]]
+    x_hi = np.minimum(c[live] * v1[live] ** -delta, x_s)
+    pow_mid, pow_hi = mid[live], v1[live]     # mid x_mid^k and v1 x_hi^k
+    series = np.zeros(live.size)
+    coef, start = -1.0, 0
     for k in itertools.count(1):
         coef *= -(n + k - 1.0) / k
-        pow_mid = pow_mid * x_mid
-        pow_hi = pow_hi * x_hi
         e = 1.0 - delta * k
+        pm = pow_mid[start:]
+        pm *= x_mid[start:]
         if e > 0.0:
-            term = coef * v1 * pow_hi * span * exprel(-e * span)
+            ph = pow_hi[start:]
+            ph *= x_hi[start:]
+            term = np.expm1(-e * span[start:])
+            term *= ph
+            term *= coef / -e
+        elif e == 0.0:
+            term = coef * pm * span[start:]
         else:
-            term = coef * mid * pow_mid * span * exprel(e * span)
-        series += term
+            term = np.expm1(e * span[start:])
+            term *= pm
+            term *= coef / e
+        acc = series[start:]
+        acc += term
         # the terms shrink geometrically once k >= n, as x <= x_s <= 1/2;
-        # written so that a NaN also stops the loop
-        if k >= n and not np.any(np.abs(term) > 1e-17 * np.abs(series)):
-            break
-    return closed + series
+        # a NaN counts as converged
+        if k >= n:
+            busy = (np.abs(term) > 1e-17 * np.abs(acc)).nonzero()[0]
+            if not busy.size:
+                break
+            start += int(busy[0])
+    out[live] += series
+    return out.reshape(shape)
 
 
 def _interference_batch(cfg: NetworkConfig, k: int, j: int, s_int: LinkState,

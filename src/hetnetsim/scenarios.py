@@ -218,7 +218,8 @@ def _eval_analytic(job: tuple) -> tuple[Any, float, bool]:
     """Evaluate one analytic grid point; returns (value, error, converged).
 
     An association point's value is the per-tier vector, which every
-    association curve of the config shares.
+    association curve of the config shares.  A rate point's argument is its
+    row of per-tier equivalent thresholds, so it is a coverage point.
     """
     metric, cfg, x = job
     kw = {"mode": metric.mode, "exclusion_zone": metric.exclusion_zone}
@@ -234,8 +235,6 @@ def _eval_analytic(job: tuple) -> tuple[Any, float, bool]:
     elif metric.kind == "beam":
         curve = coverage.coverage_with_beam_error(
             cfg, [x], sigma_be_rad=metric.sigma, **kw)
-    elif metric.kind == "rate":
-        curve = metrics.rate_coverage(cfg, [x], **kw)
     else:
         curve = coverage.sinr_coverage(cfg, [x], **kw)
     return (float(curve.probability[0]), float(curve.error[0]),
@@ -280,10 +279,13 @@ def _eval_mc(job: tuple) -> dict[Any, tuple[list[float], list[float]]]:
 
 
 def _mc_jobs(curve: _Curve, sim: montecarlo.SimConfig) -> list[tuple]:
-    """One Monte Carlo job per run of consecutive points sharing a config."""
+    """One Monte Carlo job per run of consecutive points sharing a config.
+
+    The simulated rate statistic reads the rate itself, the CSV x.
+    """
     kind, _ = _mc_statistic(curve)
-    return [(kind, curve.metric.sigma, cfg, tuple(arg for _, _, arg in run),
-             sim)
+    return [(kind, curve.metric.sigma, cfg,
+             tuple(x if kind == "rate" else arg for x, _, arg in run), sim)
             for cfg, run in itertools.groupby(curve.points, lambda p: p[1])]
 
 
@@ -417,9 +419,18 @@ def _energy(scn: Scenario) -> list[_Curve]:
 
 
 def _rate(scn: Scenario) -> list[_Curve]:
+    """One curve whose points carry their per-tier equivalent thresholds.
+
+    The mean loads, and with them the association table, are computed once
+    for the curve, not once per rate.
+    """
+    metric = _metric(scn, "rate")
     rates = [float(r) for r in scn.grid["rate_bps"]]
-    return [_Curve("rate_coverage.csv", _metric(scn, "rate"),
-                   [(r, scn.config, r) for r in rates])]
+    thresholds = metrics.equivalent_thresholds(
+        scn.config, rates, metrics.mean_loads(scn.config))
+    return [_Curve("rate_coverage.csv", metric,
+                   [(r, scn.config, tuple(map(float, row)))
+                    for r, row in zip(rates, thresholds)])]
 
 
 # experiment: (required grid keys, each a non-empty list; optional grid keys;

@@ -1,12 +1,16 @@
 """SINR/SNR coverage: Alzer terms, interference oracle, closed forms."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
+from scipy.special import exprel
 
 from conftest import make_network, make_tier, random_network
 from hetnetsim import association, coverage, intensity
@@ -97,12 +101,18 @@ def test_interference_term_against_expectation_oracle():
 def test_annulus_integral_against_mpmath(alpha):
     # the per-annulus integral of 1 - (1 + c v^-delta)^-N at 40 digits, cut
     # where c v^-delta = 1; c = 1e4 and 1e8 put that knee inside [v0, v1],
-    # and N = 40 checks the series split for strong fading
+    # and N = 40 checks the series split for strong fading; one array call
+    # per N mixes every c, and so fast and slow series, with an empty piece
     delta = alpha / 2.0
     v0, v1 = 2500.0, 40000.0
+    cs = (1e-6, 1.0, 1e4, 1e8)
     for n in (1, 3, 5, 40):
         assert coverage._annulus_integral(n, delta, 0.0, v0, v1) == 0.0
-        for c in (1e-6, 1.0, 1e4, 1e8):
+        mixed = coverage._annulus_integral(
+            n, delta, np.array((0.0,) + cs + (1.0,)),
+            np.array([v0] * (len(cs) + 1) + [v1]), v1)
+        assert mixed[0] == 0.0 and mixed[-1] == 0.0
+        for c, in_array in zip(cs, mixed[1:]):
             got = float(coverage._annulus_integral(n, delta, c, v0, v1))
             knee = min(max(c ** (1.0 / delta), v0), v1)
             with mpmath.workdps(40):
@@ -110,6 +120,75 @@ def test_annulus_integral_against_mpmath(alpha):
                     lambda v: 1 - (1 + c * v ** -mpmath.mpf(delta)) ** -n,
                     sorted({v0, knee, v1}))
             assert got == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+            assert in_array == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+def _annulus_integral_reference(n, delta, c, v0, v1):
+    """The kernel's series as first written: exprel terms, one global stop.
+
+    Every element runs until the slowest one converges, and the 2F1 piece is
+    evaluated per element at both ends.
+    """
+    c, v0 = np.broadcast_arrays(c, v0)
+    p = 1.0 / delta
+    x_s = min(0.5, 3.0 / n)
+    mid = np.clip((c / x_s) ** p, v0, v1)
+    near = mid > v0
+    closed = np.zeros(c.shape)
+    closed[near] = (coverage._psi_antiderivative(n, p, c[near], mid[near])
+                    - coverage._psi_antiderivative(n, p, c[near], v0[near]))
+    x_mid = np.minimum(c * mid ** -delta, x_s)
+    x_hi = np.minimum(c * v1 ** -delta, x_s)
+    span = np.log1p((v1 - mid) / mid)
+    series = np.zeros(c.shape)
+    coef, pow_mid, pow_hi = -1.0, 1.0, 1.0
+    for k in itertools.count(1):
+        coef *= -(n + k - 1.0) / k
+        pow_mid = pow_mid * x_mid
+        pow_hi = pow_hi * x_hi
+        e = 1.0 - delta * k
+        if e > 0.0:
+            term = coef * v1 * pow_hi * span * exprel(-e * span)
+        else:
+            term = coef * mid * pow_mid * span * exprel(e * span)
+        series += term
+        if k >= n and not np.any(np.abs(term) > 1e-17 * np.abs(series)):
+            break
+    return closed + series
+
+
+@st.composite
+def annulus_batches(draw):
+    """(N, delta, c, v0, v1): one annulus, mixed c, some empty pieces."""
+    alpha = draw(st.sampled_from([1.8, 2.0 - 1e-6, 2.0, 2.0 + 1e-6, 2.6,
+                                  4.5]))
+    n = draw(st.integers(1, 40))
+    size = draw(st.integers(1, 12))
+    v1 = 10.0 ** draw(st.floats(0.0, 6.0))
+    c = draw(st.lists(st.just(0.0) | st.floats(-12.0, 10.0).map(
+        lambda e: 10.0 ** e), min_size=size, max_size=size))
+    # v0 as a fraction of v1; 1.0 makes an empty piece
+    frac = draw(st.lists(st.just(1.0) | st.floats(1e-3, 1.0),
+                         min_size=size, max_size=size))
+    return n, alpha / 2.0, np.array(c), v1 * np.array(frac), v1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(annulus_batches())
+def test_annulus_integral_matches_reference_series(batch):
+    # the suffix loop, the expm1 terms and the shared split sum change only
+    # rounding.  An array call equals its elements' scalar calls: the terms
+    # an element still gets while it waits in the suffix are each below half
+    # an ulp of its sum, and they only shrink, so each rounds away
+    n, delta, c, v0, v1 = batch
+    got = coverage._annulus_integral(n, delta, c, v0, v1)
+    want = _annulus_integral_reference(n, delta, c, v0, v1)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    scalar = [float(coverage._annulus_integral(n, delta, ci, v0i, v1))
+              for ci, v0i in zip(c, v0)]
+    np.testing.assert_array_equal(got, scalar)
+    # 0 <= psi <= 1, up to the kernel's rounding
+    assert np.all(got >= 0.0) and np.all(got <= (v1 - v0) * (1.0 + 1e-13))
 
 
 def test_zero_threshold_limit_is_association_mass(table1):

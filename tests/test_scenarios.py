@@ -242,6 +242,34 @@ def test_assoc_vs_bias_tabulates_and_simulates_each_config_once(
     assert len(drops) == 4
 
 
+def test_rate_builds_one_association_table_per_curve(tmp_path, monkeypatch):
+    body = {"name": "rate3", "experiment": "RATE", "config": small_config(2),
+            "grid": {"rate_bps": [1e8, 5e8, 1e9]}}
+    scn = load_scenario(write_scenario(tmp_path, body))
+    sim = montecarlo.SimConfig(drops=2000, seed=4, parallel_chunks=2)
+    rates = body["grid"]["rate_bps"]
+    # the CSV as computed one rate at a time, each with its own loads
+    rows = []
+    for r in rates:
+        cv = rate_coverage(scn.config, [r])
+        rows.append(",".join(f"{float(v):.12g}" for v in (
+            r, cv.probability[0], cv.error[0])) + ",")
+    mc, se = montecarlo.empirical_rate_coverage(scn.config, sim, rates)
+    mc_rows = [f"{row},{float(m):.12g},{float(s):.12g}"
+               for row, m, s in zip(rows, mc, se)]
+
+    tables = _count_calls(monkeypatch, association, "association_table")
+    run_scenario(scn, output_dir=tmp_path / "out", workers=1)
+    assert len(tables) == 1
+    assert (tmp_path / "out" / "rate_coverage.csv").read_text() == "\n".join(
+        ["x,analytic,quad_error,flag"] + rows) + "\n"
+    # the simulated statistic still reads the rates
+    run_scenario(replace(scn, monte_carlo=sim), output_dir=tmp_path / "mc",
+                 workers=1)
+    assert (tmp_path / "mc" / "rate_coverage.csv").read_text() == "\n".join(
+        ["x,analytic,quad_error,flag,monte_carlo,mc_stderr"] + mc_rows) + "\n"
+
+
 def test_coverage_builds_no_association_table(tmp_path, monkeypatch):
     tables = _count_calls(monkeypatch, association, "association_table")
     body = {"name": "gain", "experiment": "GAIN_SWEEP", "mode": "snr",
