@@ -7,9 +7,9 @@ used to validate them.
 
 from .association import (AssociationTable, association_approx,
                           association_closed_form_2tier, association_table,
-                          mean_load, outage_probability)
+                          outage_probability)
 from .coverage import (CoverageCurve, alignment_probability,
-                       coverage_with_beam_error, sinr_coverage, snr_coverage,
+                       coverage_with_beam_error, sinr_coverage,
                        snr_coverage_closed_form)
 from .intensity import (breakpoints, lambda_density, lambda_split,
                         lambda_total, max_loss, total_mass)
@@ -42,9 +42,9 @@ __all__ = [
     "equivalent_thresholds", "friis_kappa", "integrate",
     "lambda_density", "lambda_split", "lambda_total",
     "linear_to_db", "load_config", "load_scenario", "max_loss",
-    "mean_load", "mean_loads", "network_from_dict", "noise_power_w",
+    "mean_loads", "network_from_dict", "noise_power_w",
     "outage_probability", "rate_coverage", "run_scenario", "simulate",
-    "sinr_coverage", "snr_coverage", "snr_coverage_closed_form",
+    "sinr_coverage", "snr_coverage_closed_form",
     "total_mass", "validate", "watts_to_dbm", "with_antenna", "with_balls",
     "with_bias", "with_density_scale",
 ]

@@ -167,15 +167,3 @@ def association_approx(cfg: NetworkConfig, k: int) -> float:
                     for t in cfg.tiers])
     return float(pgb[k] / pgb.sum())
 
-
-def mean_load(cfg: NetworkConfig, k: int,
-              table: AssociationTable | None = None) -> float:
-    """Mean number of users sharing a tier-k base station, >= 1.
-
-    Uses the standard 1.28 crowding correction on the user-per-station ratio
-    weighted by the tier's association probability.
-    """
-    if table is None:
-        table = association_table(cfg)
-    a_k = float(table.per_tier[k])
-    return 1.0 + 1.28 * cfg.ue_density * a_k / cfg.tiers[k].density

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import montecarlo
+from . import metrics, montecarlo
 from .model import ConfigError, db_to_linear, load_config
 from .scenarios import load_scenario, run_scenario
 
@@ -96,14 +96,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_rows(batch: montecarlo.DropBatch):
+def _trace_rows(batch: montecarlo.DropBatch, rates: np.ndarray):
     state_names = {0: "los", 1: "nlos", -1: "outage"}
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(batch.sinr)
         snr_db = 10.0 * np.log10(batch.snr)
     for i in range(batch.n_drops):
         yield (i, int(batch.tier[i]), state_names[int(batch.state[i])],
-               batch.path_loss[i], sinr_db[i], snr_db[i], batch.rate[i])
+               batch.path_loss[i], sinr_db[i], snr_db[i], rates[i])
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
@@ -113,11 +113,13 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     sigma = float(np.radians(args.sigma_be_deg))
     batch = montecarlo.simulate(cfg, sim, sigma_be_rad=sigma,
                                 workers=args.workers)
+    # montecarlo imports nothing analytic; rates take the mean loads from here
+    rates = montecarlo.drop_rates(cfg, batch, metrics.mean_loads(cfg))
 
     if args.trace:
         path = Path(args.trace)
         lines = ["drop_id,tier,state,path_loss,sinr_db,snr_db,rate_bps"]
-        for row in _trace_rows(batch):
+        for row in _trace_rows(batch, rates):
             lines.append(",".join(
                 [str(row[0]), str(row[1]), row[2]] +
                 [f"{v:.9g}" for v in row[3:]]))
@@ -144,7 +146,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         p = float(np.mean(values > db_to_linear(t_db)))
         se = float(np.sqrt(p * (1 - p) / n))
         print(f"coverage_{args.mode}_{t_db:g}dB,{p:.6g},stderr,{se:.3g}")
-    mean_rate = float(batch.rate.mean())
+    mean_rate = float(rates.mean())
     print(f"mean_rate_bps,{mean_rate:.6g}")
     return EXIT_OK
 

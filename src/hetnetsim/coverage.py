@@ -277,14 +277,6 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
         error=errs, converged=conv, mode=mode, exclusion_zone=exclusion_zone)
 
 
-def snr_coverage(cfg: NetworkConfig, thresholds, **kwargs) -> CoverageCurve:
-    """Noise-limited coverage: the same integral with interference dropped."""
-    kwargs.setdefault("mode", "snr")
-    if kwargs["mode"] != "snr":
-        raise ValueError("snr_coverage computes mode='snr'")
-    return sinr_coverage(cfg, thresholds, **kwargs)
-
-
 def _gauss_segment_integrals(p: float, c: float, x0: np.ndarray, x1: np.ndarray):
     """(int e^{-p x^2 - c x} dx, int x e^{-p x^2 - c x} dx) over [x0, x1].
 

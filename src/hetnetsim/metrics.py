@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import AssociationTable, association_table, mean_load
+from .association import AssociationTable, association_table
 from .coverage import CoverageCurve, sinr_coverage
 from .model import NetworkConfig
 
@@ -23,9 +23,15 @@ _MAX_LOG2_THRESHOLD = 969.0
 
 def mean_loads(cfg: NetworkConfig,
                table: AssociationTable | None = None) -> np.ndarray:
+    """Mean number of users sharing a base station of each tier, >= 1.
+
+    Uses the standard 1.28 crowding correction on the user-per-station ratio
+    weighted by the tier's association probability.
+    """
     if table is None:
         table = association_table(cfg)
-    return np.array([mean_load(cfg, k, table) for k in range(cfg.n_tiers)])
+    density = np.array([t.density for t in cfg.tiers])
+    return 1.0 + 1.28 * cfg.ue_density * table.per_tier / density
 
 
 def equivalent_thresholds(cfg: NetworkConfig, rates,

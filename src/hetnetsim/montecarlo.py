@@ -7,13 +7,18 @@ orientations for every interferer.  Only distances matter, so stations are
 sampled radially.  The stream is a counter-based Philox generator keyed by
 (seed, chunk index): a fixed (seed, drops, chunks) triple is bit-identical no
 matter how many workers execute the chunks.
+
+`simulate` returns a DropBatch, and each empirical statistic is a reduction
+of one batch, so one drop set serves every statistic a caller reads from it.
+Rates need the tiers' mean loads, which the caller supplies: this module
+imports nothing from the analytic side.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +35,7 @@ class SimConfig:
     seed: int
     parallel_chunks: int = 1
 
-    def validate(self, cfg: NetworkConfig) -> None:
+    def __post_init__(self) -> None:
         if self.drops < 1:
             raise ValueError("drops must be >= 1")
         if self.parallel_chunks < 1 or self.parallel_chunks > self.drops:
@@ -46,7 +51,6 @@ class DropBatch:
     path_loss: np.ndarray
     sinr: np.ndarray
     snr: np.ndarray
-    rate: np.ndarray
 
     @property
     def n_drops(self) -> int:
@@ -63,8 +67,8 @@ def _segmented(op, values: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
 
 
 def _simulate_with_rng(cfg: NetworkConfig, n_drops: int,
-                       rng: np.random.Generator, sigma_be_rad: float,
-                       loads: np.ndarray) -> DropBatch:
+                       rng: np.random.Generator,
+                       sigma_be_rad: float) -> DropBatch:
     n_k = cfg.n_tiers
     n_los, n_nlos = cfg.fading.n_los, cfg.fading.n_nlos
     min_l = np.full((n_k, 2, n_drops), np.inf)
@@ -149,7 +153,6 @@ def _simulate_with_rng(cfg: NetworkConfig, n_drops: int,
         signal = p_serv * g0 * h_serve / l_serve
         sinr = signal / (noise + interference)
         snr = signal / noise
-        rate = (cfg.bandwidth / loads[serving]) * np.log2(1.0 + sinr)
     tier_out = np.where(outage, -1, serving)
     state_out = np.where(outage, -1, s_serve)
     zero = np.zeros(n_drops)
@@ -157,8 +160,7 @@ def _simulate_with_rng(cfg: NetworkConfig, n_drops: int,
         tier=tier_out, state=state_out,
         path_loss=np.where(outage, np.inf, l_serve),
         sinr=np.where(outage, zero, sinr),
-        snr=np.where(outage, zero, snr),
-        rate=np.where(outage, zero, rate))
+        snr=np.where(outage, zero, snr))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -167,38 +169,38 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _run_chunk(args) -> DropBatch:
-    cfg, n_drops, seed, chunk_index, sigma_be_rad, loads = args
+    cfg, n_drops, seed, chunk_index, sigma_be_rad = args
     return _simulate_with_rng(cfg, n_drops, _chunk_rng(seed, chunk_index),
-                              sigma_be_rad, loads)
-
-
-def _resolve_loads(cfg: NetworkConfig, loads) -> np.ndarray:
-    if loads is not None:
-        arr = np.asarray(loads, dtype=float)
-        if arr.shape != (cfg.n_tiers,):
-            raise ValueError("loads must be a length-K vector")
-        return arr
-    from .metrics import mean_loads
-    return mean_loads(cfg)
+                              sigma_be_rad)
 
 
 def simulate(cfg: NetworkConfig, sim: SimConfig, *, sigma_be_rad: float = 0.0,
-             loads=None, workers: int = 1) -> DropBatch:
+             workers: int = 1) -> DropBatch:
     """Run all drops, combining fixed-size chunks in chunk order."""
-    sim.validate(cfg)
-    loads = _resolve_loads(cfg, loads)
     base, rem = divmod(sim.drops, sim.parallel_chunks)
     sizes = [base + (1 if i < rem else 0) for i in range(sim.parallel_chunks)]
-    jobs = [(cfg, n, sim.seed, i, sigma_be_rad, loads)
+    jobs = [(cfg, n, sim.seed, i, sigma_be_rad)
             for i, n in enumerate(sizes) if n > 0]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_chunk, jobs))
     else:
         batches = [_run_chunk(j) for j in jobs]
-    return DropBatch(*(np.concatenate([getattr(b, f) for b in batches])
-                       for f in ("tier", "state", "path_loss", "sinr", "snr",
-                                 "rate")))
+    return DropBatch(*(np.concatenate([getattr(b, f.name) for b in batches])
+                       for f in fields(DropBatch)))
+
+
+def drop_rates(cfg: NetworkConfig, batch: DropBatch, loads) -> np.ndarray:
+    """Per-drop rate in bit/s, 0 on outage drops.
+
+    A drop served by tier k gets bandwidth / loads[k] times log2(1 + SINR):
+    its tier's mean load shares the band.
+    """
+    loads = np.asarray(loads, dtype=float)
+    if loads.shape != (cfg.n_tiers,):
+        raise ValueError("loads must be a length-K vector")
+    rate = (cfg.bandwidth / loads[batch.tier]) * np.log2(1.0 + batch.sinr)
+    return np.where(batch.tier < 0, 0.0, rate)
 
 
 def _proportion(hits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,14 +208,11 @@ def _proportion(hits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return p, np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
 
 
-def empirical_association(cfg: NetworkConfig, sim: SimConfig, *,
-                          workers: int = 1, batch: DropBatch | None = None):
+def empirical_association(cfg: NetworkConfig, batch: DropBatch):
     """Joint (tier, state) association frequencies, outage atom, and stderrs.
 
     Returns (joint, joint_se, outage, outage_se) with joint shaped (K, 2).
     """
-    if batch is None:
-        batch = simulate(cfg, sim, loads=np.ones(cfg.n_tiers), workers=workers)
     n = batch.n_drops
     joint = np.zeros((cfg.n_tiers, 2))
     for k in range(cfg.n_tiers):
@@ -225,28 +224,20 @@ def empirical_association(cfg: NetworkConfig, sim: SimConfig, *,
     return joint, joint_se, float(outage), float(outage_se)
 
 
-def empirical_coverage(cfg: NetworkConfig, sim: SimConfig, thresholds, *,
-                       mode: str = "sinr", sigma_be_rad: float = 0.0,
-                       workers: int = 1, batch: DropBatch | None = None):
+def _exceedance(values: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    hits = np.array([np.count_nonzero(values > g) for g in grid], dtype=float)
+    return _proportion(hits, values.size)
+
+
+def empirical_coverage(batch: DropBatch, thresholds, *, mode: str = "sinr"):
     """P(SINR or SNR > threshold) over a grid, with binomial stderrs."""
     if mode not in ("sinr", "snr"):
         raise ValueError(f"mode must be 'sinr' or 'snr', got {mode!r}")
-    if batch is None:
-        batch = simulate(cfg, sim, sigma_be_rad=sigma_be_rad,
-                         loads=np.ones(cfg.n_tiers), workers=workers)
-    field = batch.sinr if mode == "sinr" else batch.snr
-    grid = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    hits = np.array([np.count_nonzero(field > g) for g in grid], dtype=float)
-    return _proportion(hits, batch.n_drops)
+    return _exceedance(batch.sinr if mode == "sinr" else batch.snr, thresholds)
 
 
-def empirical_rate_coverage(cfg: NetworkConfig, sim: SimConfig, rates, *,
-                            loads=None, workers: int = 1,
-                            batch: DropBatch | None = None):
-    """P(rate > rho) over a grid of bit/s targets."""
-    if batch is None:
-        batch = simulate(cfg, sim, loads=loads, workers=workers)
-    grid = np.atleast_1d(np.asarray(rates, dtype=float))
-    hits = np.array([np.count_nonzero(batch.rate > r) for r in grid],
-                    dtype=float)
-    return _proportion(hits, batch.n_drops)
+def empirical_rate_coverage(cfg: NetworkConfig, batch: DropBatch, rates,
+                            loads):
+    """P(rate > rho) over a grid of bit/s targets under the given mean loads."""
+    return _exceedance(drop_rates(cfg, batch, loads), rates)

@@ -152,10 +152,15 @@ def load_scenario(path: str | Path) -> Scenario:
     mc = None
     if raw.get("monte_carlo") is not None:
         mc_raw = raw["monte_carlo"]
+        if not isinstance(mc_raw, dict) or "drops" not in mc_raw:
+            raise ConfigError("monte_carlo must be an object with 'drops'")
         _check_keys("monte_carlo", mc_raw, ("drops", "seed", "chunks"))
-        mc = montecarlo.SimConfig(
-            drops=int(mc_raw["drops"]), seed=int(mc_raw.get("seed", 0)),
-            parallel_chunks=int(mc_raw.get("chunks", 1)))
+        try:
+            mc = montecarlo.SimConfig(
+                drops=int(mc_raw["drops"]), seed=int(mc_raw.get("seed", 0)),
+                parallel_chunks=int(mc_raw.get("chunks", 1)))
+        except ValueError as exc:
+            raise ConfigError(f"monte_carlo: {exc}") from exc
     mode = str(raw.get("mode", "sinr"))
     if mode not in ("sinr", "snr", "closed24"):
         raise ConfigError(f"unknown mode '{mode}'")
@@ -191,6 +196,7 @@ class _Curve:
     metric: _Metric
     points: list[tuple[float, NetworkConfig, Any]]  # (CSV x, config, argument)
     tier: int = 0             # the tier an association curve reads
+    loads: tuple[float, ...] | None = None  # a rate curve's mean loads
 
 
 def _metric(scn: Scenario, kind: str, mode: str | None = None, *,
@@ -256,10 +262,14 @@ def _mc_statistic(curve: _Curve) -> tuple[str, Any]:
 
 
 def _eval_mc(job: tuple) -> dict[Any, tuple[list[float], list[float]]]:
-    """Evaluate one Monte Carlo job; returns {statistic: (values, stderrs)}."""
-    kind, sigma, cfg, xs, sim = job
+    """Evaluate one Monte Carlo job; returns {statistic: (values, stderrs)}.
+
+    The job simulates one drop set and reduces it to its statistics.
+    """
+    kind, sigma, loads, cfg, xs, sim = job
+    batch = montecarlo.simulate(cfg, sim, sigma_be_rad=sigma)
     if kind == "assoc":
-        joint, _, _, _ = montecarlo.empirical_association(cfg, sim)
+        joint, _, _, _ = montecarlo.empirical_association(cfg, batch)
         out = {}
         for k in range(cfg.n_tiers):
             p = float(joint[k].sum())
@@ -267,12 +277,10 @@ def _eval_mc(job: tuple) -> dict[Any, tuple[list[float], list[float]]]:
             out[k] = [p] * len(xs), [se] * len(xs)
         return out
     if kind == "rate":
-        stats = {None: montecarlo.empirical_rate_coverage(cfg, sim, xs)}
+        stats = {None: montecarlo.empirical_rate_coverage(cfg, batch, xs,
+                                                          loads)}
     else:
-        batch = montecarlo.simulate(cfg, sim, sigma_be_rad=sigma,
-                                    loads=[1.0] * cfg.n_tiers)
-        stats = {mode: montecarlo.empirical_coverage(cfg, sim, xs, mode=mode,
-                                                     batch=batch)
+        stats = {mode: montecarlo.empirical_coverage(batch, xs, mode=mode)
                  for mode in ("sinr", "snr")}
     return {key: (list(map(float, probs)), list(map(float, ses)))
             for key, (probs, ses) in stats.items()}
@@ -281,10 +289,11 @@ def _eval_mc(job: tuple) -> dict[Any, tuple[list[float], list[float]]]:
 def _mc_jobs(curve: _Curve, sim: montecarlo.SimConfig) -> list[tuple]:
     """One Monte Carlo job per run of consecutive points sharing a config.
 
-    The simulated rate statistic reads the rate itself, the CSV x.
+    The simulated rate statistic reads the rate itself, the CSV x, under
+    the curve's mean loads.
     """
     kind, _ = _mc_statistic(curve)
-    return [(kind, curve.metric.sigma, cfg,
+    return [(kind, curve.metric.sigma, curve.loads, cfg,
              tuple(x if kind == "rate" else arg for x, _, arg in run), sim)
             for cfg, run in itertools.groupby(curve.points, lambda p: p[1])]
 
@@ -422,15 +431,17 @@ def _rate(scn: Scenario) -> list[_Curve]:
     """One curve whose points carry their per-tier equivalent thresholds.
 
     The mean loads, and with them the association table, are computed once
-    for the curve, not once per rate.
+    for the curve, not once per rate; the curve carries them to its Monte
+    Carlo job.
     """
     metric = _metric(scn, "rate")
     rates = [float(r) for r in scn.grid["rate_bps"]]
-    thresholds = metrics.equivalent_thresholds(
-        scn.config, rates, metrics.mean_loads(scn.config))
+    loads = metrics.mean_loads(scn.config)
+    thresholds = metrics.equivalent_thresholds(scn.config, rates, loads)
     return [_Curve("rate_coverage.csv", metric,
                    [(r, scn.config, tuple(map(float, row)))
-                    for r, row in zip(rates, thresholds)])]
+                    for r, row in zip(rates, thresholds)],
+                   loads=tuple(map(float, loads)))]
 
 
 # experiment: (required grid keys, each a non-empty list; optional grid keys;

@@ -19,14 +19,13 @@ from hetnetsim.association import (association_approx,
                                    association_closed_form_2tier,
                                    association_table)
 from hetnetsim.coverage import (coverage_with_beam_error, psi,
-                                sinr_coverage, snr_coverage,
-                                snr_coverage_closed_form)
+                                sinr_coverage, snr_coverage_closed_form)
 from hetnetsim.metrics import energy_efficiency, rate_coverage
 from hetnetsim.model import (AntennaPattern, Band, LinkState, db_to_linear,
                              with_antenna, with_balls, with_bias,
                              with_density_scale)
 from hetnetsim.montecarlo import (SimConfig, empirical_coverage,
-                                  empirical_rate_coverage)
+                                  empirical_rate_coverage, simulate)
 
 GRID_DB = (-20.0, -10.0, 0.0, 10.0, 20.0)
 
@@ -41,7 +40,7 @@ def test_criterion_01_sinr_vs_monte_carlo(table1):
     gammas = [db_to_linear(g) for g in GRID_DB]
     curve = sinr_coverage(table1, gammas)
     sim = SimConfig(drops=20_000, seed=101, parallel_chunks=8)
-    probs, ses = empirical_coverage(table1, sim, gammas, workers=4)
+    probs, ses = empirical_coverage(simulate(table1, sim, workers=4), gammas)
     elapsed = time.perf_counter() - t0
     diffs = np.abs(curve.probability - probs)
     tols = np.maximum(0.03, 3.0 * ses)
@@ -53,9 +52,10 @@ def test_criterion_01_sinr_vs_monte_carlo(table1):
 
 def test_criterion_02_snr_vs_monte_carlo(table1):
     gammas = [db_to_linear(g) for g in GRID_DB]
-    curve = snr_coverage(table1, gammas)
+    curve = sinr_coverage(table1, gammas, mode="snr")
     sim = SimConfig(drops=100_000, seed=102, parallel_chunks=8)
-    probs, _ = empirical_coverage(table1, sim, gammas, mode="snr", workers=4)
+    probs, _ = empirical_coverage(simulate(table1, sim, workers=4), gammas,
+                                  mode="snr")
     diffs = np.abs(curve.probability - probs)
     ok = bool(np.all(diffs <= 0.02)) and curve.converged.all()
     _report(2, ok, f"max|analytic-mc|={diffs.max():.4f} (tol 0.02)")
@@ -63,7 +63,7 @@ def test_criterion_02_snr_vs_monte_carlo(table1):
 
 def test_criterion_03_closed_form_equals_quadrature(table1):
     gammas = np.array([db_to_linear(g) for g in np.linspace(-25.0, 25.0, 50)])
-    quad = snr_coverage(table1, gammas)
+    quad = sinr_coverage(table1, gammas, mode="snr")
     closed = snr_coverage_closed_form(table1, gammas)
     diff = float(np.abs(quad.probability - closed.probability).max())
     ok = diff <= 1e-4 and quad.converged.all() and closed.converged.all()
@@ -114,9 +114,9 @@ def test_criterion_05_two_tier_closed_form_and_limit():
 def test_criterion_06_interference_gap_structure(table1):
     gammas = np.array([db_to_linear(g) for g in np.linspace(-20.0, 20.0, 9)])
     solo = table1.subset((0,))
-    gap1 = snr_coverage(solo, gammas).probability \
+    gap1 = sinr_coverage(solo, gammas, mode="snr").probability \
         - sinr_coverage(solo, gammas).probability
-    gap3 = snr_coverage(table1, gammas).probability \
+    gap3 = sinr_coverage(table1, gammas, mode="snr").probability \
         - sinr_coverage(table1, gammas).probability
     ok = bool(np.all(np.abs(gap1) <= 0.01) and np.all(gap3 > 0.0)
               and np.all(np.diff(gap3) > 0.0))
@@ -131,8 +131,8 @@ def test_criterion_07_coverage_grows_with_main_gain(table1):
         pat = AntennaPattern(main_gain=db_to_linear(m_db),
                              side_gain=table1.pattern.side_gain,
                              beamwidth_rad=table1.pattern.beamwidth_rad)
-        covs.append(float(snr_coverage(with_antenna(table1, pat),
-                                       [1.0]).probability[0]))
+        covs.append(float(sinr_coverage(with_antenna(table1, pat), [1.0],
+                                        mode="snr").probability[0]))
     ok = all(b > a for a, b in zip(covs, covs[1:]))
     _report(7, ok, "snr coverage over M=0/5/10/15 dB: "
                    + " -> ".join(f"{c:.4f}" for c in covs))
@@ -158,8 +158,8 @@ def test_criterion_09_beam_error_monotone_and_oracle(table1):
         table1, [1.0], sigma_be_rad=math.radians(s)).probability[0])
         for s in sigmas_deg]
     sim = SimConfig(drops=20_000, seed=109, parallel_chunks=8)
-    probs, ses = empirical_coverage(
-        table1, sim, [1.0], sigma_be_rad=math.radians(7.0), workers=4)
+    probs, ses = empirical_coverage(simulate(
+        table1, sim, sigma_be_rad=math.radians(7.0), workers=4), [1.0])
     diff = abs(covs[2] - float(probs[0]))
     ok = all(b <= a + 1e-12 for a, b in zip(covs, covs[1:])) \
         and diff <= 3.0 * float(ses[0])
@@ -177,7 +177,9 @@ def test_criterion_10_rate_coverage_prose_values(table1):
     rates = [1e9, 10 ** 9.5]
     curve = rate_coverage(table1, rates)
     sim = SimConfig(drops=20_000, seed=110, parallel_chunks=8)
-    mc, mc_se = empirical_rate_coverage(table1, sim, rates, workers=4)
+    mc, mc_se = empirical_rate_coverage(
+        table1, simulate(table1, sim, workers=4), rates,
+        curve.meta["mean_loads"])
     r9, r95 = curve.probability
     consistent = all(abs(a - m) <= max(3.0 * s, 0.005)
                      for a, m, s in zip(curve.probability, mc, mc_se))

@@ -9,10 +9,10 @@ import pytest
 from conftest import make_network, make_tier, random_network
 from hetnetsim.association import (AssociationTable, association_approx,
                                    association_closed_form_2tier,
-                                   association_table,
-                                   mean_load, outage_probability)
+                                   association_table, outage_probability)
+from hetnetsim.metrics import mean_loads
 from hetnetsim.model import validate
-from hetnetsim.montecarlo import SimConfig, empirical_association
+from hetnetsim.montecarlo import SimConfig, empirical_association, simulate
 
 
 def two_tier(rng, common_kappa=False, dense=False):
@@ -68,7 +68,8 @@ def test_completeness_random_configs():
 def test_monte_carlo_oracle_table1(table1):
     t = association_table(table1)
     sim = SimConfig(drops=100_000, seed=2024, parallel_chunks=8)
-    joint, joint_se, outage, outage_se = empirical_association(table1, sim)
+    joint, joint_se, outage, outage_se = empirical_association(
+        table1, simulate(table1, sim))
     for k in range(3):
         for s in range(2):
             se = max(joint_se[k, s], 1e-4)
@@ -86,7 +87,7 @@ def test_loss_falling_between_balls_keeps_all_mass():
     t = association_table(cfg)
     assert t.total + t.outage == pytest.approx(1.0, abs=t.error + 1e-9)
     joint, joint_se, _, _ = empirical_association(
-        cfg, SimConfig(drops=200_000, seed=3))
+        cfg, simulate(cfg, SimConfig(drops=200_000, seed=3)))
     assert abs(joint[0, 0] - t.joint[0, 0]) <= 4.0 * joint_se[0, 0]
 
 
@@ -139,14 +140,14 @@ def test_mean_load_limits(table1):
     validate(cfg0)
     t = association_table(cfg0)
     for k in range(3):
-        assert mean_load(cfg0, k, t) == pytest.approx(1.0)
+        assert mean_loads(cfg0, t)[k] == pytest.approx(1.0)
 
     empty = AssociationTable(joint=np.zeros((3, 2)), outage=1.0,
                              error=0.0, converged=True)
-    assert mean_load(table1, 0, empty) == pytest.approx(1.0)
+    assert mean_loads(table1, empty)[0] == pytest.approx(1.0)
 
     t1 = association_table(table1)
-    loads = [mean_load(table1, k, t1) for k in range(3)]
+    loads = mean_loads(table1, t1)
     assert all(load >= 1.0 for load in loads)
 
 

@@ -18,10 +18,10 @@ from hetnetsim.association import association_table, power_ratios
 from hetnetsim.coverage import (alignment_probability,
                                 coverage_with_beam_error, eta,
                                 interference_term, psi, sinr_coverage,
-                                snr_coverage, snr_coverage_closed_form)
+                                snr_coverage_closed_form)
 from hetnetsim.model import (AntennaPattern, Band, FadingConfig, LinkState,
                              db_to_linear, with_bias)
-from hetnetsim.montecarlo import SimConfig, empirical_coverage
+from hetnetsim.montecarlo import SimConfig, empirical_coverage, simulate
 
 
 def test_psi_values():
@@ -241,7 +241,7 @@ def test_rayleigh_single_term_against_reference(table1):
 
 def test_snr_equals_sinr_with_interference_removed(table1, monkeypatch):
     gammas = [db_to_linear(x) for x in (-5.0, 5.0)]
-    snr = snr_coverage(table1, gammas)
+    snr = sinr_coverage(table1, gammas, mode="snr")
 
     def no_interference(cfg, k, j, s_int, gamma_k, l, n_values, g0,
                         excl_ratio, **kw):
@@ -255,14 +255,14 @@ def test_snr_equals_sinr_with_interference_removed(table1, monkeypatch):
 def test_noise_free_snr_is_association_mass(table1):
     quiet = replace(table1, tiers=tuple(replace(t, noise_power=1e-300)
                                         for t in table1.tiers))
-    cv = snr_coverage(quiet, [db_to_linear(30.0)])
+    cv = sinr_coverage(quiet, [db_to_linear(30.0)], mode="snr")
     t = association_table(table1)
     assert cv.probability[0] == pytest.approx(t.total, abs=1e-6)
 
 
 def test_closed_form_matches_quadrature(table1):
     gammas = np.array([db_to_linear(x) for x in np.linspace(-25.0, 25.0, 11)])
-    quad = snr_coverage(table1, gammas)
+    quad = sinr_coverage(table1, gammas, mode="snr")
     closed = snr_coverage_closed_form(table1, gammas)
     assert np.abs(quad.probability - closed.probability).max() <= 1e-4
     assert closed.converged.all()
@@ -294,7 +294,7 @@ def test_single_tier_hand_gaussian_formula():
         coef = (-1.0) ** (n + 1) * math.comb(n_fad, n)
         p = n * a1 + rho
         hand += coef * rho / p * (1.0 - math.exp(-p * l_max))
-    for result in (snr_coverage(cfg, [gamma]),
+    for result in (sinr_coverage(cfg, [gamma], mode="snr"),
                    snr_coverage_closed_form(cfg, [gamma])):
         assert result.probability[0] == pytest.approx(hand, abs=1e-9)
 
@@ -411,7 +411,8 @@ def test_beam_error_hybrid_against_monte_carlo(hybrid):
     gaps, ses = [], []
     for s in (0.0, sigma):
         analytic = coverage_with_beam_error(hybrid, gammas, sigma_be_rad=s)
-        mc, se = empirical_coverage(hybrid, sim, gammas, sigma_be_rad=s)
+        mc, se = empirical_coverage(simulate(hybrid, sim, sigma_be_rad=s),
+                                    gammas)
         gaps.append(analytic.probability - mc)
         ses.append(se)
     assert np.all(np.abs(gaps[1] - gaps[0]) <= 4.0 * (ses[0] + ses[1]))

@@ -13,7 +13,7 @@ from hetnetsim import association, montecarlo
 from hetnetsim.association import association_table
 from hetnetsim.coverage import (coverage_with_beam_error, sinr_coverage,
                                 snr_coverage_closed_form)
-from hetnetsim.metrics import energy_efficiency, rate_coverage
+from hetnetsim.metrics import energy_efficiency, mean_loads, rate_coverage
 from hetnetsim.model import (ConfigError, db_to_linear, network_from_dict,
                              with_antenna, with_balls, with_bias,
                              with_density_scale)
@@ -98,6 +98,12 @@ def test_load_scenario_rejects_malformed(tmp_path):
          "grid": {"threshold_db": [0]}, "exclusion_zone": "none"},
         {"name": "x", "experiment": "SINR_VS_SNR", "config": 7,
          "grid": {"threshold_db": [0]}},
+        {"name": "x", "experiment": "SINR_VS_SNR", "config": small_config(),
+         "grid": {"threshold_db": [0]}, "monte_carlo": {"drops": 0}},
+        {"name": "x", "experiment": "SINR_VS_SNR", "config": small_config(),
+         "grid": {"threshold_db": [0]}, "monte_carlo": {"seed": 1}},
+        {"name": "x", "experiment": "SINR_VS_SNR", "config": small_config(),
+         "grid": {"threshold_db": [0]}, "monte_carlo": 5},
     ):
         with pytest.raises(ConfigError):
             load_scenario(write_scenario(tmp_path, body))
@@ -209,7 +215,8 @@ def test_sinr_vs_snr_simulates_each_drop_set_once(tmp_path, monkeypatch):
         cfg = scn.config.subset(tuple(range(n)))
         for mode in ("sinr", "snr"):
             mc, se = montecarlo.empirical_coverage(
-                cfg, scn.monte_carlo, thresholds, mode=mode)
+                montecarlo.simulate(cfg, scn.monte_carlo), thresholds,
+                mode=mode)
             lines = ["x,analytic,quad_error,flag,monte_carlo,mc_stderr"]
             for i, (t_db, t) in enumerate(zip(body["grid"]["threshold_db"],
                                               thresholds)):
@@ -254,7 +261,9 @@ def test_rate_builds_one_association_table_per_curve(tmp_path, monkeypatch):
         cv = rate_coverage(scn.config, [r])
         rows.append(",".join(f"{float(v):.12g}" for v in (
             r, cv.probability[0], cv.error[0])) + ",")
-    mc, se = montecarlo.empirical_rate_coverage(scn.config, sim, rates)
+    mc, se = montecarlo.empirical_rate_coverage(
+        scn.config, montecarlo.simulate(scn.config, sim), rates,
+        mean_loads(scn.config))
     mc_rows = [f"{row},{float(m):.12g},{float(s):.12g}"
                for row, m, s in zip(rows, mc, se)]
 
@@ -263,9 +272,11 @@ def test_rate_builds_one_association_table_per_curve(tmp_path, monkeypatch):
     assert len(tables) == 1
     assert (tmp_path / "out" / "rate_coverage.csv").read_text() == "\n".join(
         ["x,analytic,quad_error,flag"] + rows) + "\n"
-    # the simulated statistic still reads the rates
+    # the simulated statistic still reads the rates, under the curve's loads
+    tables.clear()
     run_scenario(replace(scn, monte_carlo=sim), output_dir=tmp_path / "mc",
                  workers=1)
+    assert len(tables) == 1
     assert (tmp_path / "mc" / "rate_coverage.csv").read_text() == "\n".join(
         ["x,analytic,quad_error,flag,monte_carlo,mc_stderr"] + mc_rows) + "\n"
 
