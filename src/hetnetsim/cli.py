@@ -110,6 +110,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     sim = montecarlo.SimConfig(drops=args.drops, seed=args.seed,
                                parallel_chunks=args.chunks)
+    try:
+        thresholds_db = [float(tok) for tok in
+                         str(args.thresholds_db).split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --thresholds-db value: {exc}") from exc
     sigma = float(np.radians(args.sigma_be_deg))
     batch = montecarlo.simulate(cfg, sim, sigma_be_rad=sigma,
                                 workers=args.workers)
@@ -125,29 +130,20 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                 [f"{v:.9g}" for v in row[3:]]))
         path.write_text("\n".join(lines) + "\n")
 
-    try:
-        thresholds_db = [float(tok) for tok in
-                         str(args.thresholds_db).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --thresholds-db value: {exc}") from exc
-
     print(f"drops,{sim.drops}")
     print(f"seed,{sim.seed}")
     print(f"chunks,{sim.parallel_chunks}")
-    n = batch.n_drops
-    outage = float(np.mean(batch.tier < 0))
-    print(f"outage,{outage:.6g},stderr,{np.sqrt(outage*(1-outage)/n):.3g}")
+    _, _, outage, outage_se = montecarlo.empirical_association(cfg, batch)
+    print(f"outage,{outage:.6g},stderr,{outage_se:.3g}")
+    shares, share_ses = montecarlo.empirical_tier_share(cfg, batch)
     for k, tier in enumerate(cfg.tiers):
-        p = float(np.mean(batch.tier == k))
-        se = float(np.sqrt(p * (1 - p) / n))
-        print(f"assoc_{tier.name or 'tier' + str(k)},{p:.6g},stderr,{se:.3g}")
-    values = batch.sinr if args.mode == "sinr" else batch.snr
-    for t_db in thresholds_db:
-        p = float(np.mean(values > db_to_linear(t_db)))
-        se = float(np.sqrt(p * (1 - p) / n))
+        print(f"assoc_{tier.name or 'tier' + str(k)},{shares[k]:.6g},"
+              f"stderr,{share_ses[k]:.3g}")
+    covered, covered_ses = montecarlo.empirical_coverage(
+        batch, [db_to_linear(t) for t in thresholds_db], mode=args.mode)
+    for t_db, p, se in zip(thresholds_db, covered, covered_ses):
         print(f"coverage_{args.mode}_{t_db:g}dB,{p:.6g},stderr,{se:.3g}")
-    mean_rate = float(rates.mean())
-    print(f"mean_rate_bps,{mean_rate:.6g}")
+    print(f"mean_rate_bps,{float(rates.mean()):.6g}")
     return EXIT_OK
 
 

@@ -215,6 +215,9 @@ class NetworkConfig:
 
     def subset(self, indices: Sequence[int]) -> "NetworkConfig":
         """Network restricted to the given tier indices (association renormalizes)."""
+        if not indices:
+            raise ConfigError("subset: at least one tier index required")
+        _check_tier_indices(self, indices, "subset")
         return replace(self, tiers=tuple(self.tiers[i] for i in indices))
 
 
@@ -236,8 +239,17 @@ def with_antenna(cfg: NetworkConfig, pattern: AntennaPattern) -> NetworkConfig:
     return replace(cfg, pattern=pattern, tiers=tiers)
 
 
+def _check_tier_indices(cfg: NetworkConfig, indices, where: str) -> None:
+    """Refuse, naming it, the first index that is not a tier of cfg."""
+    for i in indices:
+        if not 0 <= i < cfg.n_tiers:
+            raise ConfigError(f"{where}: tier index {i} is outside "
+                              f"0..{cfg.n_tiers - 1}")
+
+
 def with_bias(cfg: NetworkConfig, bias: dict[int, float]) -> NetworkConfig:
     """New config with linear association biases replaced per tier index."""
+    _check_tier_indices(cfg, bias, "with_bias")
     tiers = tuple(replace(t, bias=float(bias[i])) if i in bias else t
                   for i, t in enumerate(cfg.tiers))
     return replace(cfg, tiers=tiers)
@@ -245,6 +257,7 @@ def with_bias(cfg: NetworkConfig, bias: dict[int, float]) -> NetworkConfig:
 
 def with_density_scale(cfg: NetworkConfig, scale: dict[int, float]) -> NetworkConfig:
     """New config with tier densities multiplied per tier index."""
+    _check_tier_indices(cfg, scale, "with_density_scale")
     tiers = tuple(replace(t, density=t.density * float(scale[i]))
                   if i in scale else t for i, t in enumerate(cfg.tiers))
     return replace(cfg, tiers=tiers)
@@ -260,6 +273,7 @@ def with_balls(cfg: NetworkConfig, tier_index: int,
     """
     if len(radii) != len(los_probs):
         raise ConfigError("radii and los_probs must have equal length")
+    _check_tier_indices(cfg, [tier_index], "with_balls")
     tier = cfg.tiers[tier_index]
     balls = []
     for d, (r, b) in enumerate(zip(radii, los_probs)):

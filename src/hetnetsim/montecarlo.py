@@ -9,9 +9,10 @@ sampled radially.  The stream is a counter-based Philox generator keyed by
 matter how many workers execute the chunks.
 
 `simulate` returns a DropBatch, and each empirical statistic is a reduction
-of one batch, so one drop set serves every statistic a caller reads from it.
-Rates need the tiers' mean loads, which the caller supplies: this module
-imports nothing from the analytic side.
+of one batch, so one drop set serves every statistic a caller reads from it;
+the scenario runner and `hetnet mc` compute none of their own.  Rates need
+the tiers' mean loads, which the caller supplies: this module imports
+nothing from the analytic side.
 """
 
 from __future__ import annotations
@@ -176,7 +177,13 @@ def _run_chunk(args) -> DropBatch:
 
 def simulate(cfg: NetworkConfig, sim: SimConfig, *, sigma_be_rad: float = 0.0,
              workers: int = 1) -> DropBatch:
-    """Run all drops, combining fixed-size chunks in chunk order."""
+    """Run all drops, combining fixed-size chunks in chunk order.
+
+    The pointing error sigma_be_rad must be finite and non-negative.
+    """
+    if not (math.isfinite(sigma_be_rad) and sigma_be_rad >= 0.0):
+        raise ValueError(
+            f"sigma_be must be finite and >= 0, got {sigma_be_rad!r}")
     base, rem = divmod(sim.drops, sim.parallel_chunks)
     sizes = [base + (1 if i < rem else 0) for i in range(sim.parallel_chunks)]
     jobs = [(cfg, n, sim.seed, i, sigma_be_rad)
@@ -203,8 +210,8 @@ def drop_rates(cfg: NetworkConfig, batch: DropBatch, loads) -> np.ndarray:
     return np.where(batch.tier < 0, 0.0, rate)
 
 
-def _proportion(hits: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    p = hits / n
+def _with_stderr(p, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Proportions over n drops with their binomial standard errors."""
     return p, np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
 
 
@@ -218,16 +225,21 @@ def empirical_association(cfg: NetworkConfig, batch: DropBatch):
     for k in range(cfg.n_tiers):
         for s in (0, 1):
             joint[k, s] = np.count_nonzero((batch.tier == k) & (batch.state == s))
-    joint, joint_se = _proportion(joint, n)
-    outage, outage_se = _proportion(
-        np.asarray(float(np.count_nonzero(batch.tier < 0))), n)
+    joint, joint_se = _with_stderr(joint / n, n)
+    outage, outage_se = _with_stderr(np.count_nonzero(batch.tier < 0) / n, n)
     return joint, joint_se, float(outage), float(outage_se)
+
+
+def empirical_tier_share(cfg: NetworkConfig, batch: DropBatch):
+    """Per-tier association frequencies (LOS plus NLOS) and their stderrs."""
+    joint, _, _, _ = empirical_association(cfg, batch)
+    return _with_stderr(joint.sum(axis=1), batch.n_drops)
 
 
 def _exceedance(values: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     hits = np.array([np.count_nonzero(values > g) for g in grid], dtype=float)
-    return _proportion(hits, values.size)
+    return _with_stderr(hits / values.size, values.size)
 
 
 def empirical_coverage(batch: DropBatch, thresholds, *, mode: str = "sinr"):

@@ -10,14 +10,16 @@ mc_stderr; the flag column is empty for converged points and holds
 byte-identical.
 
 Grid points are independent, so they are dispatched to a process pool and
-written back by a single writer in grid order.
+written back by a single writer in grid order.  Equal jobs run once: one
+association table per config, and one Monte Carlo drop set per (pointing
+error, config), from which the writer reduces each curve point's statistic
+(sinr or snr coverage, association share, rate coverage).
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -174,8 +176,6 @@ def load_scenario(path: str | Path) -> Scenario:
                     config_path=config_path, config_raw=config_raw)
 
 
-
-
 # ---------------------------------------------------------------------------
 # curves and jobs (jobs are tuples of module-level types, so they pickle into
 # worker processes)
@@ -247,55 +247,30 @@ def _eval_analytic(job: tuple) -> tuple[Any, float, bool]:
             bool(curve.converged[0]))
 
 
-def _mc_statistic(curve: _Curve) -> tuple[str, Any]:
-    """(job kind, statistic) of a curve's Monte Carlo estimate.
+def _eval_mc(job: tuple) -> montecarlo.DropBatch:
+    """Simulate the drop set of one (pointing error, config) job."""
+    sigma, cfg, sim = job
+    return montecarlo.simulate(cfg, sim, sigma_be_rad=sigma)
 
-    One coverage job, with or without beam error, serves the sinr and the
-    snr statistic from one drop set; one association job serves every tier.
+
+def _mc_estimate(curve: _Curve, cfg: NetworkConfig, x: float, arg: Any,
+                 batch: montecarlo.DropBatch) -> tuple[float, float]:
+    """(value, stderr) of one curve point's statistic on its drop set.
+
+    An association point reads its curve's tier share, a rate point the
+    rate itself, the CSV x, under the curve's mean loads, and every other
+    point its threshold under the curve's mode.
     """
-    kind = curve.metric.kind
-    if kind == "assoc":
-        return kind, curve.tier
-    if kind == "rate":
-        return kind, None
-    return "coverage", curve.metric.mode
-
-
-def _eval_mc(job: tuple) -> dict[Any, tuple[list[float], list[float]]]:
-    """Evaluate one Monte Carlo job; returns {statistic: (values, stderrs)}.
-
-    The job simulates one drop set and reduces it to its statistics.
-    """
-    kind, sigma, loads, cfg, xs, sim = job
-    batch = montecarlo.simulate(cfg, sim, sigma_be_rad=sigma)
-    if kind == "assoc":
-        joint, _, _, _ = montecarlo.empirical_association(cfg, batch)
-        out = {}
-        for k in range(cfg.n_tiers):
-            p = float(joint[k].sum())
-            se = math.sqrt(max(p * (1.0 - p), 0.0) / sim.drops)
-            out[k] = [p] * len(xs), [se] * len(xs)
-        return out
-    if kind == "rate":
-        stats = {None: montecarlo.empirical_rate_coverage(cfg, batch, xs,
-                                                          loads)}
+    if curve.metric.kind == "assoc":
+        share, se = montecarlo.empirical_tier_share(cfg, batch)
+        return share[curve.tier], se[curve.tier]
+    if curve.metric.kind == "rate":
+        probs, ses = montecarlo.empirical_rate_coverage(cfg, batch, [x],
+                                                        curve.loads)
     else:
-        stats = {mode: montecarlo.empirical_coverage(batch, xs, mode=mode)
-                 for mode in ("sinr", "snr")}
-    return {key: (list(map(float, probs)), list(map(float, ses)))
-            for key, (probs, ses) in stats.items()}
-
-
-def _mc_jobs(curve: _Curve, sim: montecarlo.SimConfig) -> list[tuple]:
-    """One Monte Carlo job per run of consecutive points sharing a config.
-
-    The simulated rate statistic reads the rate itself, the CSV x, under
-    the curve's mean loads.
-    """
-    kind, _ = _mc_statistic(curve)
-    return [(kind, curve.metric.sigma, curve.loads, cfg,
-             tuple(x if kind == "rate" else arg for x, _, arg in run), sim)
-            for cfg, run in itertools.groupby(curve.points, lambda p: p[1])]
+        probs, ses = montecarlo.empirical_coverage(batch, [arg],
+                                                   mode=curve.metric.mode)
+    return probs[0], ses[0]
 
 
 def _tag(value: float) -> str:
@@ -478,8 +453,8 @@ def _run_jobs(fn: Callable, per_curve: list[list], workers: int) -> list[list]:
     """Evaluate each distinct job once in one pool; results per curve.
 
     Jobs are hashable tuples, so equal jobs of different curves or points
-    (one config's association table, one drop set's sinr and snr
-    statistics) share one evaluation.
+    (one config's association table, one config's drop set under one
+    pointing error) share one evaluation.
     """
     unique = list(dict.fromkeys(job for jobs in per_curve for job in jobs))
     results = dict(zip(unique, _pmap(fn, unique, workers)))
@@ -491,22 +466,19 @@ def _format(value: float) -> str:
 
 
 def _write_curve(path: Path, curve: _Curve, analytic: list[tuple],
-                 mc: list[tuple]) -> None:
+                 batches: list[montecarlo.DropBatch]) -> None:
     header = "x,analytic,quad_error,flag"
-    if mc:
+    if batches:
         header += ",monte_carlo,mc_stderr"
-        stat = _mc_statistic(curve)[1]
-        mc_values = [v for result in mc for v in result[stat][0]]
-        mc_ses = [s for result in mc for s in result[stat][1]]
     lines = [header]
-    for i, (x, _, _) in enumerate(curve.points):
+    for i, (x, cfg, arg) in enumerate(curve.points):
         value, err, ok = analytic[i]
         if curve.metric.kind == "assoc":
             value = value[curve.tier]
         row = [_format(x), _format(value), _format(err),
                "" if ok else "nonconverged"]
-        if mc:
-            row += [_format(mc_values[i]), _format(mc_ses[i])]
+        if batches:
+            row += map(_format, _mc_estimate(curve, cfg, x, arg, batches[i]))
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -534,8 +506,10 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
         [[(c.metric, cfg, arg) for _, cfg, arg in c.points] for c in curves],
         n_workers)
     sim = scn.monte_carlo
-    mc = _run_jobs(_eval_mc, [_mc_jobs(c, sim) if sim else [] for c in curves],
-                   n_workers)
+    mc = _run_jobs(
+        _eval_mc,
+        [[(c.metric.sigma, cfg, sim) for _, cfg, _ in c.points] if sim else []
+         for c in curves], n_workers)
 
     out = Path(output_dir) if output_dir is not None else Path(
         scn.output_dir if scn.output_dir else f"out_{scn.name}")

@@ -1,11 +1,13 @@
 """Command line behaviour: exit codes, files written, summary output."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from hetnetsim import cli, scenarios
+from hetnetsim import cli, montecarlo, scenarios
+from hetnetsim.model import load_config
 from test_scenarios import basic_scenario, small_config, write_scenario
 
 
@@ -124,6 +126,27 @@ def test_mc_bad_inputs(config_file, capsys):
                      "--thresholds-db", "abc"]) == 1
     assert cli.main(["mc", str(config_file), "--drops", "0"]) == 1
     capsys.readouterr()
+
+
+def test_mc_checks_thresholds_before_simulating(config_file, tmp_path,
+                                                capsys):
+    trace = tmp_path / "t.csv"
+    assert cli.main(["mc", str(config_file), "--drops", "2000",
+                     "--thresholds-db", "abc", "--trace", str(trace)]) == 1
+    assert "--thresholds-db" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+def test_mc_rejects_bad_pointing_error(config_file, capsys):
+    for sigma_deg in ("-5", "nan", "inf"):
+        assert cli.main(["mc", str(config_file), "--drops", "100",
+                         f"--sigma-be-deg={sigma_deg}"]) == 1
+        assert "sigma_be" in capsys.readouterr().err
+    cfg = load_config(config_file)
+    for sigma in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="sigma_be"):
+            montecarlo.simulate(cfg, montecarlo.SimConfig(drops=10, seed=1),
+                                sigma_be_rad=sigma)
 
 
 def test_mc_snr_mode(config_file, capsys):

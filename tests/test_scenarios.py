@@ -249,6 +249,69 @@ def test_assoc_vs_bias_tabulates_and_simulates_each_config_once(
     assert len(drops) == 4
 
 
+def test_bias_sweep_curves_share_one_drop_set_per_bias(tmp_path, monkeypatch):
+    body = {"name": "sweep", "experiment": "BIAS_SWEEP",
+            "config": small_config(2),
+            "grid": {"bias_db": [0.0, 5.0, 10.0]},
+            "monte_carlo": {"drops": 2000, "seed": 11, "chunks": 2}}
+    scn = load_scenario(write_scenario(tmp_path, body))
+    sim = scn.monte_carlo
+    # each curve's Monte Carlo columns as reduced from its own simulation
+    expected = {"coverage_vs_bias.csv": [], "assoc_a_vs_bias.csv": [],
+                "assoc_b_vs_bias.csv": []}
+    for b in body["grid"]["bias_db"]:
+        cfg = with_bias(scn.config, {1: db_to_linear(b)})
+        mc, se = montecarlo.empirical_coverage(
+            montecarlo.simulate(cfg, sim), [1.0], mode="sinr")
+        expected["coverage_vs_bias.csv"].append((mc[0], se[0]))
+        joint, _, _, _ = montecarlo.empirical_association(
+            cfg, montecarlo.simulate(cfg, sim))
+        for k, name in enumerate(("assoc_a_vs_bias.csv",
+                                  "assoc_b_vs_bias.csv")):
+            p = float(joint[k].sum())
+            expected[name].append((p, math.sqrt(p * (1.0 - p) / sim.drops)))
+
+    calls = _count_calls(monkeypatch, montecarlo, "simulate")
+    result = run_scenario(scn, output_dir=tmp_path / "out", workers=1)
+    assert len(calls) == 3
+    assert result.files == tuple(sorted(expected))
+    for name, columns in expected.items():
+        header, rows = read_csv(tmp_path / "out" / name)
+        assert header[4:] == ["monte_carlo", "mc_stderr"]
+        assert [row[4:] for row in rows] == [
+            [f"{float(v):.12g}" for v in pair] for pair in columns]
+
+
+# each body names a tier that the 3-tier table1 network does not have
+_BAD_TIER_GRIDS = (
+    ("ASSOC_VS_BIAS", {"bias_db": [0.0], "tier": 5}, "tier index 5"),
+    ("BIAS_SWEEP", {"bias_db": [0.0], "tiers": [7]}, "tier index 7"),
+    ("BALL_PARAMS", {"threshold_db": [0.0], "variants": [
+        {"name": "v", "tier": -1, "radii": [30], "los_prob": [1.0]}]},
+     "tier index -1"),
+    ("ENERGY", {"bias_db": [0.0], "variants": [
+        {"name": "v", "density_scale": {"9": 2.0}}]}, "tier index 9"),
+    ("BALL_PARAMS", {"threshold_db": [0.0], "variants": [
+        {"name": "v", "tier": 4, "radii": [30], "los_prob": [1.0]}]},
+     "tier index 4"),
+    ("SINR_VS_SNR", {"threshold_db": [0.0], "tier_counts": [5]},
+     "tier index 3"),
+    ("SINR_VS_SNR", {"threshold_db": [0.0], "tier_counts": [0]},
+     "at least one tier index"),
+)
+
+
+def test_grid_tier_indices_outside_the_network_are_refused(tmp_path):
+    for i, (experiment, grid, message) in enumerate(_BAD_TIER_GRIDS):
+        body = {"name": "bad", "experiment": experiment,
+                "config": "bundled:table1", "grid": grid}
+        scn = load_scenario(write_scenario(tmp_path, body))
+        target = tmp_path / f"never{i}"
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(scn, output_dir=target)
+        assert not target.exists()
+
+
 def test_rate_builds_one_association_table_per_curve(tmp_path, monkeypatch):
     body = {"name": "rate3", "experiment": "RATE", "config": small_config(2),
             "grid": {"rate_bps": [1e8, 5e8, 1e9]}}
