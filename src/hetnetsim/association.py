@@ -28,6 +28,9 @@ _STATES = (LinkState.LOS, LinkState.NLOS)
 ABS_TOL = 1e-9
 REL_TOL = 1e-7
 
+# panel seeds of every annulus, as fractions of its width in v = r**2
+_SEEDS = np.geomspace(1e-12, 1.0, 13)[:-1]
+
 
 def power_ratios(cfg: NetworkConfig, k: int) -> np.ndarray:
     """c_j = (P_j G_j B_j) / (P_k G_k B_k) for all tiers j."""
@@ -58,6 +61,57 @@ class AssociationTable:
         return float(self.joint.sum())
 
 
+def _void_exponent(cfg: NetworkConfig, ratios: np.ndarray):
+    """The evaluator l -> sum_j Lambda_j(ratios_j l) over the tiers j.
+
+    Every (state, tier, segment) is a row of one stacked array, each
+    (state, tier) padded with empty segments to the longest one's segment
+    count, so an evaluation is one numpy pass instead of a lambda_total call
+    per tier.  It keeps lambda_split's arithmetic: the power of each run of
+    rows with one exponent is taken with that scalar exponent, segments are
+    summed within a state in order, then scaled by pi lambda, then LOS +
+    NLOS, then the tiers in order; so the sum is bitwise lambda_total's.
+    """
+    segs = [[intensity.state_segments(t, s) for t in cfg.tiers]
+            for s in _STATES]
+    depth = max(len(ss) for by_tier in segs for ss in by_tier)
+    rows, exps = [], []
+    for by_tier in segs:
+        for j, ss in enumerate(by_tier):
+            for seg in ss:
+                rows.append((ratios[j], seg.kappa, seg.lo_r2, seg.hi_r2,
+                             seg.weight))
+                exps.append(2.0 / seg.alpha)
+            # an empty segment adds exactly 0 under any exponent, so it takes
+            # its neighbour's and never splits a run
+            pad = depth - len(ss)
+            rows += [(ratios[j], 1.0, 0.0, 0.0, 0.0)] * pad
+            exps += [exps[-1] if exps else None] * pad
+    lead = next(e for e in exps if e is not None)
+    exps = [lead if e is None else e for e in exps]
+    cuts = [0] + [i for i in range(1, len(exps)) if exps[i] != exps[i - 1]]
+    runs = list(zip(cuts, cuts[1:] + [len(exps)], (exps[i] for i in cuts)))
+    ratio, kappa, lo, hi, w = np.array(rows).T[:, :, None]
+    pi_lam = np.array([math.pi * t.density for t in cfg.tiers])[:, None]
+    shape = (len(_STATES), cfg.n_tiers, depth, -1)
+
+    def void(l: np.ndarray) -> np.ndarray:
+        x = np.maximum(ratio * l, 0.0)
+        x /= kappa
+        r2 = np.empty_like(x)
+        for a, b, e in runs:
+            r2[a:b] = x[a:b] ** e
+        np.maximum(r2, lo, out=r2)
+        np.minimum(r2, hi, out=r2)
+        r2 -= lo
+        r2 *= w
+        by_state = r2.reshape(shape).sum(axis=2)
+        by_state *= pi_lam
+        return (by_state[0] + by_state[1]).sum(axis=0)
+
+    return void
+
+
 def _serving_integral(cfg: NetworkConfig, k: int, state: LinkState,
                       integrand, kinks=(), abs_tol: float = ABS_TOL,
                       rel_tol: float = REL_TOL) -> tuple[float, float, bool]:
@@ -78,12 +132,7 @@ def _serving_integral(cfg: NetworkConfig, k: int, state: LinkState,
     if not segs:
         return 0.0, 0.0, True
     ratios = power_ratios(cfg, k)
-
-    def f_of_l(l: np.ndarray) -> np.ndarray:
-        void = np.zeros_like(l)
-        for j, tj in enumerate(cfg.tiers):
-            void += intensity.lambda_total(tj, ratios[j] * l)
-        return integrand(l, void)
+    void = _void_exponent(cfg, ratios)
 
     all_kinks = set(kinks)
     for j, tj in enumerate(cfg.tiers):
@@ -93,14 +142,14 @@ def _serving_integral(cfg: NetworkConfig, k: int, state: LinkState,
     converged = True
     for seg in segs:
         def ev(v: np.ndarray, _seg=seg) -> np.ndarray:
-            return f_of_l(_seg.kappa * v ** (0.5 * _seg.alpha))
+            l = _seg.kappa * v ** (0.5 * _seg.alpha)
+            return integrand(l, void(l))
 
         v_kinks = [(x / seg.kappa) ** (2.0 / seg.alpha)
                    for x in all_kinks if seg.lo_x < x < seg.hi_x]
         # the void factor can decay within a sliver of the annulus; geometric
         # seeding keeps the first adaptive pass from stepping over that sliver
-        width = seg.hi_r2 - seg.lo_r2
-        v_kinks.extend(seg.lo_r2 + width * np.geomspace(1e-12, 1.0, 13)[:-1])
+        v_kinks.extend(seg.lo_r2 + (seg.hi_r2 - seg.lo_r2) * _SEEDS)
         res = integrate(ev, (seg.lo_r2, seg.hi_r2), v_kinks,
                         abs_tol=abs_tol / len(segs), rel_tol=rel_tol)
         w = math.pi * tier.density * seg.weight

@@ -381,9 +381,13 @@ def snr_coverage_closed_form(cfg: NetworkConfig, thresholds) -> CoverageCurve:
 
 
 def alignment_probability(beamwidth_rad: float, sigma_be_rad: float) -> float:
-    """P(|error| <= beamwidth/2) for a zero-mean Gaussian pointing error."""
-    if sigma_be_rad < 0:
-        raise ValueError("sigma_be must be >= 0")
+    """P(|error| <= beamwidth/2) for a zero-mean Gaussian pointing error.
+
+    The pointing error sigma_be_rad must be finite and non-negative.
+    """
+    if not (math.isfinite(sigma_be_rad) and sigma_be_rad >= 0.0):
+        raise ValueError(
+            f"sigma_be must be finite and >= 0, got {sigma_be_rad!r}")
     if sigma_be_rad == 0.0:
         return 1.0
     return float(erf(beamwidth_rad / (2.0 * math.sqrt(2.0) * sigma_be_rad)))

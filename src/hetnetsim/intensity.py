@@ -89,6 +89,7 @@ def lambda_density(tier: TierConfig, state: LinkState, x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out)
 
 
+@lru_cache(maxsize=None)
 def breakpoints(tier: TierConfig) -> tuple[float, ...]:
     """Positive path-loss values where any state's density changes form.
 

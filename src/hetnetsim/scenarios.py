@@ -9,11 +9,16 @@ mc_stderr; the flag column is empty for converged points and holds
 (the wall clock appears only in the manifest), so reruns are
 byte-identical.
 
-Grid points are independent, so they are dispatched to a process pool and
-written back by a single writer in grid order.  Equal jobs run once: one
-association table per config, and one Monte Carlo drop set per (pointing
-error, config), from which the writer reduces each curve point's statistic
-(sinr or snr coverage, association share, rate coverage).
+Grid points are independent.  A run whose curves reach the SINR
+interference kernel dispatches its analytic points to a process pool; every
+other run (association, noise-limited coverage) takes about a millisecond
+per point, less than a pool costs to start, and computes them in this
+process.  Monte Carlo drop sets go to the pool either way.  A single writer
+puts results back in grid order, so CSV bytes do not depend on the worker
+count.  Equal jobs run once: one association table per config, and one
+Monte Carlo drop set per (pointing error, config), from which the writer
+reduces each curve point's statistic (sinr or snr coverage, association
+share, rate coverage).
 """
 
 from __future__ import annotations
@@ -100,6 +105,14 @@ def _validate_grid(experiment: Experiment, grid: dict) -> None:
     _check_keys(f"{experiment.value} grid", grid, required + optional)
     for key in required:
         _as_list(grid, key)
+    for sigma in grid.get("sigma_be_deg", ()):
+        try:
+            ok = math.isfinite(float(sigma)) and float(sigma) >= 0.0
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(
+                f"grid.sigma_be_deg must be finite and >= 0, got {sigma!r}")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -449,12 +462,22 @@ def _pmap(fn: Callable, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _reaches_kernel(metric: _Metric) -> bool:
+    """Whether a metric's points evaluate the SINR interference kernel."""
+    return metric.mode == "sinr" and metric.kind != "assoc"
+
+
 def _run_jobs(fn: Callable, per_curve: list[list], workers: int) -> list[list]:
-    """Evaluate each distinct job once in one pool; results per curve.
+    """Evaluate each distinct job once, in one pool when workers > 1; results
+    per curve.
 
     Jobs are hashable tuples, so equal jobs of different curves or points
     (one config's association table, one config's drop set under one
-    pointing error) share one evaluation.
+    pointing error) share one evaluation.  run_scenario passes its workers
+    to the analytic jobs only when some curve reaches the interference
+    kernel (50-150 ms a job); association and noise-limited jobs take about
+    a millisecond, less than starting the pool and warming its workers, so
+    they get 1 and run here.  Monte Carlo jobs always get the workers.
     """
     unique = list(dict.fromkeys(job for jobs in per_curve for job in jobs))
     results = dict(zip(unique, _pmap(fn, unique, workers)))
@@ -504,7 +527,7 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
     analytic = _run_jobs(
         _eval_analytic,
         [[(c.metric, cfg, arg) for _, cfg, arg in c.points] for c in curves],
-        n_workers)
+        n_workers if any(_reaches_kernel(c.metric) for c in curves) else 1)
     sim = scn.monte_carlo
     mc = _run_jobs(
         _eval_mc,

@@ -5,11 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_network, make_tier, random_network
-from hetnetsim.association import (AssociationTable, association_approx,
+from hetnetsim import intensity
+from hetnetsim.association import (AssociationTable, _void_exponent,
+                                   association_approx,
                                    association_closed_form_2tier,
-                                   association_table, outage_probability)
+                                   association_table, outage_probability,
+                                   power_ratios)
+from hetnetsim.model import BallSpec, LinkState
 from hetnetsim.metrics import mean_loads
 from hetnetsim.model import validate
 from hetnetsim.montecarlo import SimConfig, empirical_association, simulate
@@ -189,3 +195,57 @@ def test_bias_shifts_association(table1):
     boosted = association_table(with_bias(table1, {2: 100.0}))
     assert boosted.per_tier[2] > base.per_tier[2]
     assert boosted.per_tier[0] < base.per_tier[0]
+
+
+# path-loss exponents at and around the alpha = 2 corner, and elsewhere
+_ALPHAS = st.one_of(st.sampled_from([2.0, 2.0 - 1e-6, 2.0 + 1e-6]),
+                    st.floats(1.5, 4.5))
+_FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)
+
+
+@st.composite
+def void_cases(draw):
+    """A 1-3 tier network at the awkward corners, and loss abscissae at 0,
+    inside every tier's segments and beyond all of them, per serving tier."""
+    tiers = []
+    for _ in range(draw(st.integers(1, 3))):
+        radii = sorted(draw(st.lists(st.floats(1.0, 1e4), min_size=1,
+                                     max_size=3, unique=True)))
+        balls = tuple(BallSpec(
+            radius=r,
+            los_prob=draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                    st.floats(0.0, 1.0))),
+            alpha_los=draw(_ALPHAS), alpha_nlos=draw(_ALPHAS),
+            kappa_los=10.0 ** draw(st.floats(0.0, 8.0)),
+            kappa_nlos=10.0 ** draw(st.floats(0.0, 8.0))) for r in radii)
+        tier = make_tier(density=10.0 ** draw(st.floats(-8.0, -2.0)),
+                         p_dbm=draw(st.floats(10.0, 50.0)),
+                         bias=10.0 ** (draw(st.floats(-40.0, 40.0)) / 10.0))
+        tiers.append(replace(tier, balls=balls))
+    cfg = make_network(tiers)
+    fractions = draw(_FRACTIONS)
+    cases = []
+    for k in range(cfg.n_tiers):
+        ratios = power_ratios(cfg, k)
+        ls, top = [0.0], 0.0
+        for j, tier in enumerate(cfg.tiers):
+            for state in (LinkState.LOS, LinkState.NLOS):
+                for seg in intensity.state_segments(tier, state):
+                    ls += [(seg.lo_x + u * (seg.hi_x - seg.lo_x)) / ratios[j]
+                           for u in fractions]
+                    top = max(top, seg.hi_x / ratios[j])
+        ls.append(2.0 * top)
+        cases.append((ratios, np.array(ls)))
+    return cfg, cases
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(void_cases())
+def test_stacked_void_matches_lambda_total(case):
+    cfg, cases = case
+    for ratios, ls in cases:
+        want = np.zeros_like(ls)
+        for j, tier in enumerate(cfg.tiers):
+            want += intensity.lambda_total(tier, ratios[j] * ls)
+        # the evaluator keeps lambda_split's arithmetic, so it is exact
+        np.testing.assert_array_equal(_void_exponent(cfg, ratios)(ls), want)

@@ -352,6 +352,14 @@ def test_alignment_probability_limits():
         math.erf(theta / (2.0 * math.sqrt(2.0) * math.radians(7.0))))
 
 
+def test_alignment_probability_rejects_bad_pointing_error(table1):
+    for sigma in (math.nan, math.inf, -math.inf, -0.1):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            alignment_probability(0.5, sigma)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        coverage_with_beam_error(table1, [1.0], sigma_be_rad=math.nan)
+
+
 def test_beam_error_limits(table1):
     gammas = [db_to_linear(0.0)]
     base = sinr_coverage(table1, gammas)

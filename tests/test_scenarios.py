@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hetnetsim import association, montecarlo
+from hetnetsim import association, montecarlo, scenarios
 from hetnetsim.association import association_table
 from hetnetsim.coverage import (coverage_with_beam_error, sinr_coverage,
                                 snr_coverage_closed_form)
@@ -310,6 +310,50 @@ def test_grid_tier_indices_outside_the_network_are_refused(tmp_path):
         with pytest.raises(ConfigError, match=message):
             run_scenario(scn, output_dir=target)
         assert not target.exists()
+
+
+def test_beam_error_refuses_bad_pointing_error(tmp_path):
+    for i, sigma in enumerate((math.nan, math.inf, -math.inf, -2.0, "wide")):
+        body = {"name": "bad", "experiment": "BEAM_ERROR",
+                "config": "bundled:table1",
+                "grid": {"threshold_db": [0.0], "sigma_be_deg": [0, sigma]},
+                "output_dir": str(tmp_path / f"never{i}")}
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            load_scenario(write_scenario(tmp_path, body))
+        assert not (tmp_path / f"never{i}").exists()
+
+
+def test_only_runs_that_reach_the_kernel_start_a_pool(tmp_path, monkeypatch):
+    bodies = {
+        "assoc": {"name": "assoc", "experiment": "ASSOC_VS_BIAS",
+                  "config": small_config(2),
+                  "grid": {"bias_db": [-3.0, 0.0, 6.0]}},
+        "gain": {"name": "gain", "experiment": "GAIN_SWEEP",
+                 "config": small_config(2), "mode": "snr",
+                 "grid": {"threshold_db": [-5.0, 5.0],
+                          "main_gain_db": [10.0, 20.0]}},
+    }
+    serial = {}
+    for name, body in bodies.items():
+        scn = load_scenario(write_scenario(tmp_path, body, f"{name}.json"))
+        result = run_scenario(scn, output_dir=tmp_path / name / "w1",
+                              workers=1)
+        serial[name] = (scn, result.files)
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a process pool was started")
+
+    monkeypatch.setattr(scenarios, "ProcessPoolExecutor", no_pool)
+    for name, (scn, files) in serial.items():
+        result = run_scenario(scn, output_dir=tmp_path / name / "w2",
+                              workers=2)
+        assert result.files == files
+        for fname in files:
+            assert (tmp_path / name / "w2" / fname).read_bytes() == \
+                (tmp_path / name / "w1" / fname).read_bytes()
+    sinr = load_scenario(basic_scenario(tmp_path, monte_carlo=None))
+    with pytest.raises(RuntimeError, match="process pool"):
+        run_scenario(sinr, output_dir=tmp_path / "sinr", workers=2)
 
 
 def test_rate_builds_one_association_table_per_curve(tmp_path, monkeypatch):
