@@ -19,8 +19,7 @@ from .model import (AntennaPattern, BallSpec, Band, ConfigError, FadingConfig,
                     LinkState, NetworkConfig, TierConfig, bundled_config,
                     db_to_linear, dbm_to_watts, friis_kappa, linear_to_db,
                     load_config, network_from_dict, noise_power_w, validate,
-                    watts_to_dbm, with_antenna, with_balls, with_bias,
-                    with_density_scale)
+                    watts_to_dbm, with_balls, with_bias, with_density_scale)
 from .montecarlo import (DropBatch, SimConfig, empirical_association,
                          empirical_coverage, empirical_rate_coverage, simulate)
 from .quadrature import integrate
@@ -45,6 +44,6 @@ __all__ = [
     "mean_loads", "network_from_dict", "noise_power_w",
     "outage_probability", "rate_coverage", "run_scenario", "simulate",
     "sinr_coverage", "snr_coverage_closed_form",
-    "total_mass", "validate", "watts_to_dbm", "with_antenna", "with_balls",
-    "with_bias", "with_density_scale",
+    "total_mass", "validate", "watts_to_dbm", "with_balls", "with_bias",
+    "with_density_scale",
 ]

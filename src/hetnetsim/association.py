@@ -34,7 +34,8 @@ _SEEDS = np.geomspace(1e-12, 1.0, 13)[:-1]
 
 def power_ratios(cfg: NetworkConfig, k: int) -> np.ndarray:
     """c_j = (P_j G_j B_j) / (P_k G_k B_k) for all tiers j."""
-    pgb = np.array([t.tx_power * t.serving_gain * t.bias for t in cfg.tiers])
+    pgb = np.array([t.tx_power * cfg.serving_gain(j) * t.bias
+                    for j, t in enumerate(cfg.tiers)])
     return pgb / pgb[k]
 
 
@@ -212,7 +213,7 @@ def association_closed_form_2tier(cfg: NetworkConfig, k: int) -> float:
 
 def association_approx(cfg: NetworkConfig, k: int) -> float:
     """Large-radius limit: density-and-power weighted share, outage ignored."""
-    pgb = np.array([t.density * t.tx_power * t.serving_gain * t.bias
-                    for t in cfg.tiers])
+    pgb = np.array([t.density * t.tx_power * cfg.serving_gain(j) * t.bias
+                    for j, t in enumerate(cfg.tiers)])
     return float(pgb[k] / pgb.sum())
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="process pool size for grid points")
     run.add_argument("--mode", choices=("sinr", "snr", "closed24"),
                      default=None, help="override the scenario mode")
-    run.add_argument("--exclusion-zone",
-                     choices=("with_gains", "without_gains"), default=None,
-                     help="override the interferer exclusion-zone convention")
 
     val = sub.add_parser("validate", help="check a network config file")
     val.add_argument("config", help="path to a network config JSON file")
@@ -71,13 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = load_scenario(args.scenario)
-    if args.mode is not None or args.exclusion_zone is not None:
-        from dataclasses import replace
-        scn = replace(scn,
-                      mode=args.mode if args.mode is not None else scn.mode,
-                      exclusion_zone=(args.exclusion_zone
-                                      if args.exclusion_zone is not None
-                                      else scn.exclusion_zone))
+    if args.mode is not None:
+        scn = replace(scn, mode=args.mode)
     result = run_scenario(scn, output_dir=args.out, workers=args.workers)
     print(f"wrote {len(result.files)} curve(s) to {result.output_dir} "
           f"in {result.wall_time_s:.2f}s")

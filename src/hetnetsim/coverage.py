@@ -26,15 +26,13 @@ from scipy.special import erf, erfcx, hyp2f1
 
 from . import intensity
 from .association import AssociationTable, _serving_integral, power_ratios
-from .model import Band, LinkState, NetworkConfig
+from .model import LinkState, NetworkConfig
 
 _STATES = (LinkState.LOS, LinkState.NLOS)
 
 # tolerances of the serving-loss integral of every coverage term
 OUTER_ABS_TOL = 1e-7
 OUTER_REL_TOL = 1e-6
-
-EXCLUSION_MODES = ("with_gains", "without_gains")
 
 
 def eta(n: int) -> float:
@@ -47,16 +45,6 @@ def eta(n: int) -> float:
 def psi(n: int, x) -> np.ndarray | float:
     """1 - (1 + x)^(-n): one minus the Gamma(n, 1/n) Laplace transform at n*x."""
     return -np.expm1(-n * np.log1p(x))
-
-
-def _exclusion_ratios(cfg: NetworkConfig, k: int, exclusion_zone: str) -> np.ndarray:
-    if exclusion_zone == "with_gains":
-        return power_ratios(cfg, k)
-    if exclusion_zone == "without_gains":
-        pb = np.array([t.tx_power * t.bias for t in cfg.tiers])
-        return pb / pb[k]
-    raise ValueError(f"exclusion_zone must be one of {EXCLUSION_MODES}, "
-                     f"got {exclusion_zone!r}")
 
 
 def _psi_antiderivative(n: int, p: float, c, v):
@@ -170,20 +158,17 @@ def _interference_batch(cfg: NetworkConfig, k: int, j: int, s_int: LinkState,
 
 
 def interference_term(cfg: NetworkConfig, j: int, s_int: LinkState, k: int,
-                      n: int, gamma: float, l: float, g0: float | None = None,
-                      exclusion_zone: str = "with_gains") -> float:
+                      n: int, gamma: float, l: float) -> float:
     """One tier/state interference exponent at a single serving path loss.
 
     This is the gain-pmf-weighted integral of psi against tier j's state-s_int
     path-loss density from the exclusion boundary upward; it appears negated
     inside the coverage integrand's exponential.
     """
-    if g0 is None:
-        g0 = cfg.tiers[k].serving_gain
-    ratio = _exclusion_ratios(cfg, k, exclusion_zone)[j]
     return float(_interference_batch(cfg, k, j, s_int, float(gamma),
                                      np.array([float(l)]), np.array([int(n)]),
-                                     g0, ratio)[0, 0])
+                                     cfg.serving_gain(k),
+                                     power_ratios(cfg, k)[j])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -196,7 +181,6 @@ class CoverageCurve:
     error: np.ndarray           # (n,) summed quadrature error estimates
     converged: np.ndarray       # (n,) bool
     mode: str
-    exclusion_zone: str
     meta: dict = field(default_factory=dict)
 
     def conditional(self, k: int, assoc: AssociationTable) -> np.ndarray:
@@ -223,15 +207,19 @@ def _normalize_thresholds(cfg: NetworkConfig, thresholds) -> np.ndarray:
 
 
 def _term(cfg: NetworkConfig, k: int, state: LinkState, gamma_k: float,
-          mode: str, excl_ratios: np.ndarray):
-    """Joint mass of {associated via (k, state)} and {SINR > gamma_k}."""
+          mode: str, ratios: np.ndarray):
+    """Joint mass of {associated via (k, state)} and {SINR > gamma_k}.
+
+    ratios are power_ratios(cfg, k): a tier-j interferer is farther in loss
+    than the serving station by at least the factor ratios[j].
+    """
     tier = cfg.tiers[k]
     n_serv = cfg.fading.n(state)
     eta_s = eta(n_serv)
     n_arr = np.arange(1, n_serv + 1)
     coefs = np.array([(-1.0) ** (n + 1) * math.comb(n_serv, n) for n in n_arr])
     band = cfg.same_band_tiers(k) if mode == "sinr" else ()
-    g0 = tier.serving_gain
+    g0 = cfg.serving_gain(k)
     noise_rate = eta_s * gamma_k * tier.noise_power / (tier.tx_power * g0)
 
     def integrand(l: np.ndarray, void: np.ndarray) -> np.ndarray:
@@ -239,18 +227,18 @@ def _term(cfg: NetworkConfig, k: int, state: LinkState, gamma_k: float,
         for j in band:
             for s_int in _STATES:
                 logs -= _interference_batch(cfg, k, j, s_int, gamma_k, l,
-                                            n_arr, g0, excl_ratios[j])
+                                            n_arr, g0, ratios[j])
         return coefs @ np.exp(logs)
 
     # the interferers' exclusion boundaries kink the integrand too
-    kinks = [bp / excl_ratios[j]
+    kinks = [bp / ratios[j]
              for j in band for bp in intensity.breakpoints(cfg.tiers[j])]
     return _serving_integral(cfg, k, state, integrand, kinks,
                              abs_tol=OUTER_ABS_TOL, rel_tol=OUTER_REL_TOL)
 
 
-def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
-                  exclusion_zone: str = "with_gains") -> CoverageCurve:
+def sinr_coverage(cfg: NetworkConfig, thresholds, *,
+                  mode: str = "sinr") -> CoverageCurve:
     """Coverage probability across a threshold grid.
 
     thresholds are linear; pass an (n, K) array for per-tier values (rate
@@ -266,15 +254,15 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *, mode: str = "sinr",
     conv = np.ones(n_pts, dtype=bool)
     for i in range(n_pts):
         for k in range(cfg.n_tiers):
-            excl = _exclusion_ratios(cfg, k, exclusion_zone)
+            ratios = power_ratios(cfg, k)
             for col, state in enumerate(_STATES):
-                v, e, ok = _term(cfg, k, state, grid[i, k], mode, excl)
+                v, e, ok = _term(cfg, k, state, grid[i, k], mode, ratios)
                 joint[i, k, col] = v
                 errs[i] += e
                 conv[i] = conv[i] and ok
     return CoverageCurve(
         x=grid[:, 0], probability=joint.sum(axis=(1, 2)), joint=joint,
-        error=errs, converged=conv, mode=mode, exclusion_zone=exclusion_zone)
+        error=errs, converged=conv, mode=mode)
 
 
 def _gauss_segment_integrals(p: float, c: float, x0: np.ndarray, x1: np.ndarray):
@@ -348,7 +336,7 @@ def snr_coverage_closed_form(cfg: NetworkConfig, thresholds) -> CoverageCurve:
                 n_serv = cfg.fading.n(state)
                 eta_s = eta(n_serv)
                 a1 = (eta_s * grid[i, k] * tier.noise_power
-                      / (tier.tx_power * tier.serving_gain))
+                      / (tier.tx_power * cfg.serving_gain(k)))
                 acc = 0.0
                 for seg in intensity.state_segments(tier, state):
                     if seg.alpha == 2.0:
@@ -377,7 +365,7 @@ def snr_coverage_closed_form(cfg: NetworkConfig, thresholds) -> CoverageCurve:
     return CoverageCurve(
         x=x, probability=joint.sum(axis=(1, 2)), joint=joint,
         error=np.zeros(n_pts), converged=np.ones(n_pts, dtype=bool),
-        mode="closed24", exclusion_zone="with_gains")
+        mode="closed24")
 
 
 def alignment_probability(beamwidth_rad: float, sigma_be_rad: float) -> float:
@@ -394,8 +382,8 @@ def alignment_probability(beamwidth_rad: float, sigma_be_rad: float) -> float:
 
 
 def coverage_with_beam_error(cfg: NetworkConfig, thresholds,
-                             sigma_be_rad: float, *, mode: str = "sinr",
-                             **kwargs) -> CoverageCurve:
+                             sigma_be_rad: float, *,
+                             mode: str = "sinr") -> CoverageCurve:
     """Coverage with independent Gaussian alignment errors at both link ends.
 
     Each end stays on its main lobe with a probability set by its own
@@ -411,8 +399,8 @@ def coverage_with_beam_error(cfg: NetworkConfig, thresholds,
     f_ue = alignment_probability(ue.beamwidth_rad, sigma_be_rad)
     # (probability, gain) of the main and the side lobe at each tier's BS end
     bs_lobes = []
-    for tier in cfg.tiers:
-        bs = cfg.mu_pattern if tier.band is Band.MICROWAVE else ue
+    for k in range(cfg.n_tiers):
+        bs = cfg.bs_pattern(k)
         f_bs = alignment_probability(bs.beamwidth_rad, sigma_be_rad)
         bs_lobes.append(((f_bs, bs.main_gain), (1.0 - f_bs, bs.side_gain)))
     # per-tier serving gains of each (user lobe, BS lobe) pair -> weights
@@ -423,10 +411,10 @@ def coverage_with_beam_error(cfg: NetworkConfig, thresholds,
             weights = np.array([f * bs[lobe][0] for bs in bs_lobes])
             parts[gains] = parts.get(gains, 0.0) + weights
     parts = {g: w for g, w in parts.items() if np.any(w > 0.0)}
-    serving = np.array([t.serving_gain for t in cfg.tiers])
+    serving = np.array([cfg.serving_gain(k) for k in range(cfg.n_tiers)])
     curve = sinr_coverage(
         cfg, np.vstack([grid * (serving / np.array(g)) for g in parts]),
-        mode=mode, **kwargs)
+        mode=mode)
     w = np.array(list(parts.values()))                      # (parts, K)
     shape = (len(w), grid.shape[0])
     joint = (w[:, None, :, None]
@@ -435,5 +423,5 @@ def coverage_with_beam_error(cfg: NetworkConfig, thresholds,
     return CoverageCurve(
         x=grid[:, 0], probability=joint.sum(axis=(1, 2)), joint=joint,
         error=error, converged=curve.converged.reshape(shape).all(axis=0),
-        mode=curve.mode, exclusion_zone=curve.exclusion_zone,
+        mode=curve.mode,
         meta={"sigma_be_rad": sigma_be_rad, "alignment_probability": f_ue})

@@ -44,21 +44,20 @@ def equivalent_thresholds(cfg: NetworkConfig, rates,
     return np.exp2(np.minimum(expo, _MAX_LOG2_THRESHOLD)) - 1.0
 
 
-def rate_coverage(cfg: NetworkConfig, rates, *, mode: str = "sinr",
-                  assoc: AssociationTable | None = None,
-                  **kwargs) -> CoverageCurve:
+def rate_coverage(cfg: NetworkConfig, rates, *,
+                  mode: str = "sinr") -> CoverageCurve:
     """P(rate > rho) over a grid of rate targets in bit/s."""
-    loads = mean_loads(cfg, assoc)
+    loads = mean_loads(cfg)
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     thresholds = equivalent_thresholds(cfg, rates, loads)
-    curve = sinr_coverage(cfg, thresholds, mode=mode, **kwargs)
+    curve = sinr_coverage(cfg, thresholds, mode=mode)
     meta = dict(curve.meta)
     meta.update({"rates_bps": rates, "mean_loads": loads,
                  "equivalent_thresholds": thresholds})
     return CoverageCurve(
         x=rates, probability=curve.probability, joint=curve.joint,
         error=curve.error, converged=curve.converged,
-        mode=curve.mode, exclusion_zone=curve.exclusion_zone, meta=meta)
+        mode=curve.mode, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,7 @@ def area_power(cfg: NetworkConfig) -> np.ndarray:
 
 
 def energy_efficiency(cfg: NetworkConfig, thresholds=1.0, *,
-                      mode: str = "sinr",
-                      assoc: AssociationTable | None = None,
-                      **kwargs) -> EnergyReport:
+                      mode: str = "sinr") -> EnergyReport:
     """Area spectral efficiency per consumed watt at per-tier SINR targets.
 
     thresholds: scalar applied to every tier or a length-K vector (linear).
@@ -104,9 +101,8 @@ def energy_efficiency(cfg: NetworkConfig, thresholds=1.0, *,
         thr = np.full(cfg.n_tiers, float(thr))
     if thr.shape != (cfg.n_tiers,):
         raise ValueError("thresholds must be a scalar or length-K vector")
-    if assoc is None:
-        assoc = association_table(cfg)
-    curve = sinr_coverage(cfg, thr[None, :], mode=mode, **kwargs)
+    assoc = association_table(cfg)
+    curve = sinr_coverage(cfg, thr[None, :], mode=mode)
     cond = np.array([curve.conditional(k, assoc)[0]
                      for k in range(cfg.n_tiers)])
     dens = np.array([t.density for t in cfg.tiers])

@@ -2,8 +2,9 @@
 
 All public numeric fields are linear SI units (meters, watts, Hz, unitless
 gains).  Decibel values appear only at the JSON/CLI boundary and are converted
-on load.  Instances are frozen after validation; derived quantities (noise
-power, serving gain, default kappa) are resolved once by the loaders.
+on load.  Instances are frozen after validation; noise power and default
+kappa are resolved once by the loaders, and a tier's serving gain is derived
+from its band's antenna patterns wherever it is read.
 """
 
 from __future__ import annotations
@@ -82,12 +83,27 @@ class AntennaPattern:
     def validate(self, where: str) -> list[str]:
         errs = []
         if not (0.0 < self.beamwidth_rad <= 2.0 * math.pi):
-            errs.append(f"{where}: beamwidth must be in (0, 2*pi], got {self.beamwidth_rad}")
-        if self.main_gain <= 0 or self.side_gain <= 0:
-            errs.append(f"{where}: gains must be positive")
+            errs.append(f"{where}.beamwidth_deg: must be in (0, 360], "
+                        f"got {math.degrees(self.beamwidth_rad)}")
+        errs += _positive(f"{where}.main_db", self.main_gain)
+        errs += _positive(f"{where}.side_db", self.side_gain)
         if self.main_gain < self.side_gain:
             errs.append(f"{where}: main-lobe gain below side-lobe gain")
         return errs
+
+
+def _positive(name: str, value: float) -> list[str]:
+    """An error naming the field unless value is finite and > 0 (linear)."""
+    if 0.0 < value < math.inf:
+        return []
+    return [f"{name}: must be finite and > 0 in linear units, got {value}"]
+
+
+def _nonnegative(name: str, value: float) -> list[str]:
+    """An error naming the field unless value is finite and >= 0."""
+    if 0.0 <= value < math.inf:
+        return []
+    return [f"{name}: must be finite and >= 0, got {value}"]
 
 
 def gain_pmf(pattern: AntennaPattern) -> tuple[tuple[float, float], ...]:
@@ -169,7 +185,6 @@ class TierConfig:
     bias: float               # linear association bias
     balls: tuple[BallSpec, ...]
     noise_power: float        # watts, resolved over this tier's bandwidth
-    serving_gain: float       # linear, intended-alignment composite gain
     static_power: float = 0.0  # watts, load-independent consumption
     amp_slope: float = 1.0     # amplifier slope in the linear power model
     band: Band = Band.MMWAVE
@@ -200,14 +215,25 @@ class NetworkConfig:
     def is_hybrid(self) -> bool:
         return any(t.band is Band.MICROWAVE for t in self.tiers)
 
+    def bs_pattern(self, tier_index: int) -> AntennaPattern:
+        """Base-station pattern of a tier: its band's, facing the mmWave UE."""
+        if self.tiers[tier_index].band is Band.MICROWAVE:
+            if self.mu_pattern is None:
+                raise ConfigError(f"tiers[{tier_index}]: microwave tier "
+                                  "requires mu_antenna")
+            return self.mu_pattern
+        return self.pattern
+
+    def serving_gain(self, tier_index: int) -> float:
+        """Aligned gain G_k: the tier's BS main lobe times the UE main lobe."""
+        return self.bs_pattern(tier_index).main_gain * self.pattern.main_gain
+
     def interferer_gain_pmf(self, tier_index: int) -> tuple[tuple[float, float], ...]:
         """Gain pmf of an interfering BS in the given tier."""
-        tier = self.tiers[tier_index]
-        if tier.band is Band.MICROWAVE:
-            if self.mu_pattern is None:
-                raise ConfigError("microwave tier requires mu_antenna pattern")
-            return cross_gain_pmf(self.mu_pattern, self.pattern)
-        return gain_pmf(self.pattern)
+        bs = self.bs_pattern(tier_index)
+        if bs is self.pattern:
+            return gain_pmf(bs)
+        return cross_gain_pmf(bs, self.pattern)
 
     def same_band_tiers(self, tier_index: int) -> tuple[int, ...]:
         band = self.tiers[tier_index].band
@@ -219,24 +245,6 @@ class NetworkConfig:
             raise ConfigError("subset: at least one tier index required")
         _check_tier_indices(self, indices, "subset")
         return replace(self, tiers=tuple(self.tiers[i] for i in indices))
-
-
-def _serving_gain(band: Band, pattern: AntennaPattern,
-                  mu_pattern: AntennaPattern | None, where: str) -> float:
-    """Aligned gain: the band's BS main lobe times the mmWave UE main lobe."""
-    if band is Band.MICROWAVE:
-        if mu_pattern is None:
-            raise ConfigError(f"{where}: microwave tier requires mu_antenna")
-        return mu_pattern.main_gain * pattern.main_gain
-    return pattern.main_gain * pattern.main_gain
-
-
-def with_antenna(cfg: NetworkConfig, pattern: AntennaPattern) -> NetworkConfig:
-    """New config with the mmWave pattern replaced; serving gains follow."""
-    tiers = tuple(replace(t, serving_gain=_serving_gain(
-        t.band, pattern, cfg.mu_pattern, f"tiers[{k}]"))
-        for k, t in enumerate(cfg.tiers))
-    return replace(cfg, pattern=pattern, tiers=tiers)
 
 
 def _check_tier_indices(cfg: NetworkConfig, indices, where: str) -> None:
@@ -252,7 +260,7 @@ def with_bias(cfg: NetworkConfig, bias: dict[int, float]) -> NetworkConfig:
     _check_tier_indices(cfg, bias, "with_bias")
     tiers = tuple(replace(t, bias=float(bias[i])) if i in bias else t
                   for i, t in enumerate(cfg.tiers))
-    return replace(cfg, tiers=tiers)
+    return validate(replace(cfg, tiers=tiers))
 
 
 def with_density_scale(cfg: NetworkConfig, scale: dict[int, float]) -> NetworkConfig:
@@ -260,7 +268,7 @@ def with_density_scale(cfg: NetworkConfig, scale: dict[int, float]) -> NetworkCo
     _check_tier_indices(cfg, scale, "with_density_scale")
     tiers = tuple(replace(t, density=t.density * float(scale[i]))
                   if i in scale else t for i, t in enumerate(cfg.tiers))
-    return replace(cfg, tiers=tiers)
+    return validate(replace(cfg, tiers=tiers))
 
 
 def with_balls(cfg: NetworkConfig, tier_index: int,
@@ -281,61 +289,55 @@ def with_balls(cfg: NetworkConfig, tier_index: int,
         balls.append(replace(tmpl, radius=float(r), los_prob=float(b)))
     tiers = tuple(replace(t, balls=tuple(balls)) if i == tier_index else t
                   for i, t in enumerate(cfg.tiers))
-    out = replace(cfg, tiers=tiers)
-    validate(out)
-    return out
+    return validate(replace(cfg, tiers=tiers))
 
 
-def validate(cfg: NetworkConfig) -> None:
-    """Check every precondition; raise ConfigError naming tier index and field."""
+def validate(cfg: NetworkConfig) -> NetworkConfig:
+    """Return cfg if it meets every precondition; otherwise raise ConfigError
+    naming each tier index and field at fault.
+
+    Every number must be finite: NaN fails no comparison, so each check is
+    written as the range the value must be in.
+    """
     errs: list[str] = []
     if cfg.n_tiers == 0:
         errs.append("tiers: at least one tier required")
-    if cfg.ue_density < 0:
-        errs.append(f"ue_density_per_m2: must be >= 0, got {cfg.ue_density}")
-    if cfg.bandwidth <= 0:
-        errs.append(f"bandwidth_hz: must be > 0, got {cfg.bandwidth}")
-    if cfg.carrier <= 0:
-        errs.append(f"carrier_hz: must be > 0, got {cfg.carrier}")
+    errs += _nonnegative("ue_density_per_m2", cfg.ue_density)
+    errs += _positive("bandwidth_hz", cfg.bandwidth)
+    errs += _positive("carrier_hz", cfg.carrier)
     errs += cfg.pattern.validate("antenna")
     if cfg.mu_pattern is not None:
         errs += cfg.mu_pattern.validate("mu_antenna")
     errs += cfg.fading.validate()
     for k, tier in enumerate(cfg.tiers):
         where = f"tiers[{k}]"
-        if tier.density <= 0:
-            errs.append(f"{where}.density_per_m2: must be > 0, got {tier.density}")
-        if tier.tx_power <= 0:
-            errs.append(f"{where}.tx_power_dbm: power must be positive")
-        if tier.bias <= 0:
-            errs.append(f"{where}.bias_db: bias must be positive")
-        if tier.noise_power <= 0:
-            errs.append(f"{where}: noise power must be positive")
-        if tier.serving_gain <= 0:
-            errs.append(f"{where}: serving gain must be positive")
-        if tier.static_power < 0:
-            errs.append(f"{where}.static_power_w: must be >= 0")
-        if tier.amp_slope < 0:
-            errs.append(f"{where}.amp_slope: must be >= 0")
+        errs += _positive(f"{where}.density_per_m2", tier.density)
+        errs += _positive(f"{where}.tx_power_dbm", tier.tx_power)
+        errs += _positive(f"{where}.bias_db", tier.bias)
+        errs += _positive(f"{where}.noise_power (from bandwidth_hz, "
+                          "noise_figure_db and psd_dbm_hz)", tier.noise_power)
+        errs += _nonnegative(f"{where}.static_power_w", tier.static_power)
+        errs += _nonnegative(f"{where}.amp_slope", tier.amp_slope)
         if not tier.balls:
             errs.append(f"{where}.balls: at least one ball required")
         prev = 0.0
         for d, ball in enumerate(tier.balls):
             bw = f"{where}.balls[{d}]"
-            if ball.radius <= prev:
-                errs.append(f"{bw}.radius_m: radii must be strictly increasing "
-                            f"({ball.radius} after {prev})")
+            if not (prev < ball.radius < math.inf):
+                errs.append(f"{bw}.radius_m: radii must be finite and "
+                            f"strictly increasing ({ball.radius} after {prev})")
             prev = ball.radius
             if not (0.0 <= ball.los_prob <= 1.0):
                 errs.append(f"{bw}.los_prob: must be in [0, 1], got {ball.los_prob}")
-            if ball.alpha_los <= 0 or ball.alpha_nlos <= 0:
-                errs.append(f"{bw}: path-loss exponents must be positive")
-            if ball.kappa_los <= 0 or ball.kappa_nlos <= 0:
-                errs.append(f"{bw}: kappa must be positive")
+            errs += _positive(f"{bw}.alpha_los", ball.alpha_los)
+            errs += _positive(f"{bw}.alpha_nlos", ball.alpha_nlos)
+            errs += _positive(f"{bw}.kappa_los_db", ball.kappa_los)
+            errs += _positive(f"{bw}.kappa_nlos_db", ball.kappa_nlos)
         if tier.band is Band.MICROWAVE and cfg.mu_pattern is None:
             errs.append(f"{where}.band: microwave tier requires top-level mu_antenna")
     if errs:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errs))
+    return cfg
 
 
 def _pattern_from_dict(d: dict, where: str) -> AntennaPattern:
@@ -369,7 +371,6 @@ def network_from_dict(raw: dict) -> NetworkConfig:
             mu_pattern = _pattern_from_dict(raw["mu_antenna"], "mu_antenna")
         tiers = []
         for k, traw in enumerate(raw["tiers"]):
-            where = f"tiers[{k}]"
             band = Band(traw.get("band", "mmwave"))
             tier_carrier = float(traw.get("carrier_hz", carrier))
             tier_bandwidth = float(traw.get("bandwidth_hz", bandwidth))
@@ -396,7 +397,6 @@ def network_from_dict(raw: dict) -> NetworkConfig:
                 noise_power=noise_power_w(
                     tier_bandwidth, float(traw.get("noise_figure_db", 0.0)),
                     float(traw.get("psd_dbm_hz", NOISE_PSD_DBM_HZ))),
-                serving_gain=_serving_gain(band, pattern, mu_pattern, where),
                 static_power=float(traw.get("static_power_w", 0.0)),
                 amp_slope=float(traw.get("amp_slope", 1.0)),
                 band=band,
@@ -406,13 +406,12 @@ def network_from_dict(raw: dict) -> NetworkConfig:
         raise
     except KeyError as e:
         raise ConfigError(f"missing required config field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"malformed config value: {e}") from None
-    cfg = NetworkConfig(tiers=tuple(tiers), ue_density=ue_density,
-                        bandwidth=bandwidth, carrier=carrier, pattern=pattern,
-                        fading=fading, mu_pattern=mu_pattern)
-    validate(cfg)
-    return cfg
+    return validate(NetworkConfig(
+        tiers=tuple(tiers), ue_density=ue_density, bandwidth=bandwidth,
+        carrier=carrier, pattern=pattern, fading=fading,
+        mu_pattern=mu_pattern))
 
 
 def load_config(path: str) -> NetworkConfig:

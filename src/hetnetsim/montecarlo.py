@@ -105,7 +105,8 @@ def _simulate_with_rng(cfg: NetworkConfig, n_drops: int,
         points.append((drop_id, loss, contrib, counts))
 
     best_l = np.minimum(min_l[:, 0], min_l[:, 1])      # (K, drops)
-    pgb = np.array([t.tx_power * t.serving_gain * t.bias for t in cfg.tiers])
+    pgb = np.array([t.tx_power * cfg.serving_gain(k) * t.bias
+                    for k, t in enumerate(cfg.tiers)])
     with np.errstate(divide="ignore"):
         received = pgb[:, None] / best_l
     serving = np.argmax(received, axis=0)
@@ -121,15 +122,14 @@ def _simulate_with_rng(cfg: NetworkConfig, n_drops: int,
         eps = rng.normal(0.0, sigma_be_rad, size=(2, n_drops))
         ue_hit = np.abs(eps[0]) <= 0.5 * cfg.pattern.beamwidth_rad
         ue_gain = np.where(ue_hit, cfg.pattern.main_gain, cfg.pattern.side_gain)
-        bs_pat = [cfg.mu_pattern if t.band is Band.MICROWAVE else cfg.pattern
-                  for t in cfg.tiers]
+        bs_pat = [cfg.bs_pattern(k) for k in range(n_k)]
         bs_main = np.array([p.main_gain for p in bs_pat])[serving]
         bs_side = np.array([p.side_gain for p in bs_pat])[serving]
         bs_width = np.array([p.beamwidth_rad for p in bs_pat])[serving]
         bs_gain = np.where(np.abs(eps[1]) <= 0.5 * bs_width, bs_main, bs_side)
         g0 = ue_gain * bs_gain
     else:
-        g0 = np.array([t.serving_gain for t in cfg.tiers])[serving]
+        g0 = np.array([cfg.serving_gain(k) for k in range(n_k)])[serving]
 
     # remove the serving station's own draw from its tier's interference sum
     serving_contrib = np.zeros(n_drops)

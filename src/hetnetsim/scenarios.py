@@ -34,16 +34,16 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import association, coverage, metrics, montecarlo
-from .model import (Band, ConfigError, NetworkConfig,
-                    db_to_linear, network_from_dict, with_antenna,
-                    with_balls, with_bias, with_density_scale)
+from .model import (Band, ConfigError, NetworkConfig, db_to_linear,
+                    network_from_dict, validate, with_balls, with_bias,
+                    with_density_scale)
 
 _TOLERANCES = {"outer_abs_tol": coverage.OUTER_ABS_TOL,
                "outer_rel_tol": coverage.OUTER_REL_TOL,
                "assoc_abs_tol": association.ABS_TOL}
 
 _SCENARIO_KEYS = ("name", "experiment", "config", "grid", "mode",
-                  "exclusion_zone", "monte_carlo", "output_dir", "workers")
+                  "monte_carlo", "output_dir", "workers")
 
 
 class Experiment(enum.Enum):
@@ -66,7 +66,6 @@ class Scenario:
     experiment: Experiment
     grid: dict[str, Any]
     mode: str = "sinr"
-    exclusion_zone: str = "with_gains"
     monte_carlo: montecarlo.SimConfig | None = None
     output_dir: str | None = None
     workers: int = 1
@@ -88,6 +87,13 @@ def _as_list(grid: dict, key: str) -> list:
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError(f"grid.{key} must be a non-empty list")
     return list(value)
+
+
+def _as_int(key: str, value: Any) -> int:
+    """value, which scenario key `key` holds and must be a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _check_keys(where: str, raw: dict, known) -> None:
@@ -172,20 +178,18 @@ def load_scenario(path: str | Path) -> Scenario:
         _check_keys("monte_carlo", mc_raw, ("drops", "seed", "chunks"))
         try:
             mc = montecarlo.SimConfig(
-                drops=int(mc_raw["drops"]), seed=int(mc_raw.get("seed", 0)),
-                parallel_chunks=int(mc_raw.get("chunks", 1)))
+                drops=_as_int("drops", mc_raw["drops"]),
+                seed=_as_int("seed", mc_raw.get("seed", 0)),
+                parallel_chunks=_as_int("chunks", mc_raw.get("chunks", 1)))
         except ValueError as exc:
             raise ConfigError(f"monte_carlo: {exc}") from exc
     mode = str(raw.get("mode", "sinr"))
     if mode not in ("sinr", "snr", "closed24"):
         raise ConfigError(f"unknown mode '{mode}'")
-    exclusion = str(raw.get("exclusion_zone", "with_gains"))
-    if exclusion not in ("with_gains", "without_gains"):
-        raise ConfigError(f"unknown exclusion_zone '{exclusion}'")
     return Scenario(name=str(raw["name"]), config=cfg, experiment=experiment,
-                    grid=grid, mode=mode, exclusion_zone=exclusion,
-                    monte_carlo=mc, output_dir=raw.get("output_dir"),
-                    workers=int(raw.get("workers", 1)),
+                    grid=grid, mode=mode, monte_carlo=mc,
+                    output_dir=raw.get("output_dir"),
+                    workers=_as_int("workers", raw.get("workers", 1)),
                     config_path=config_path, config_raw=config_raw)
 
 
@@ -199,7 +203,6 @@ class _Metric:
 
     kind: str                 # coverage, closed24, beam, rate, ee or assoc
     mode: str                 # sinr or snr; also the Monte Carlo statistic
-    exclusion_zone: str
     sigma: float = 0.0        # beam pointing error, radians
 
 
@@ -230,7 +233,7 @@ def _metric(scn: Scenario, kind: str, mode: str | None = None, *,
     if kind == "ee" and scn.monte_carlo is not None:
         raise ConfigError(
             "ENERGY has no Monte Carlo estimator; remove monte_carlo")
-    return _Metric(kind, mode, scn.exclusion_zone, sigma)
+    return _Metric(kind, mode, sigma)
 
 
 def _eval_analytic(job: tuple) -> tuple[Any, float, bool]:
@@ -241,21 +244,20 @@ def _eval_analytic(job: tuple) -> tuple[Any, float, bool]:
     row of per-tier equivalent thresholds, so it is a coverage point.
     """
     metric, cfg, x = job
-    kw = {"mode": metric.mode, "exclusion_zone": metric.exclusion_zone}
     if metric.kind == "assoc":
         table = association.association_table(cfg)
         return (tuple(map(float, table.per_tier)), float(table.error),
                 bool(table.converged))
     if metric.kind == "ee":
-        report = metrics.energy_efficiency(cfg, x, **kw)
+        report = metrics.energy_efficiency(cfg, x, mode=metric.mode)
         return report.energy_efficiency, report.error, report.converged
     if metric.kind == "closed24":
         curve = coverage.snr_coverage_closed_form(cfg, [x])
     elif metric.kind == "beam":
         curve = coverage.coverage_with_beam_error(
-            cfg, [x], sigma_be_rad=metric.sigma, **kw)
+            cfg, [x], sigma_be_rad=metric.sigma, mode=metric.mode)
     else:
-        curve = coverage.sinr_coverage(cfg, [x], **kw)
+        curve = coverage.sinr_coverage(cfg, [x], mode=metric.mode)
     return (float(curve.probability[0]), float(curve.error[0]),
             bool(curve.converged[0]))
 
@@ -342,25 +344,37 @@ def _assoc_curves(scn: Scenario, suffix: str) -> list[tuple]:
 
 
 def _sinr_vs_snr(scn: Scenario) -> list[_Curve]:
-    counts = scn.grid.get("tier_counts", range(1, scn.config.n_tiers + 1))
+    counts = [_as_int("grid.tier_counts", n) for n in scn.grid.get(
+        "tier_counts", range(1, scn.config.n_tiers + 1))]
     return _threshold_curves(scn, [
-        (f"{m}_tiers{int(n)}.csv", scn.config.subset(tuple(range(int(n)))),
+        (f"{m}_tiers{n}.csv", scn.config.subset(tuple(range(n))),
          _metric(scn, "coverage", m))
         for n in counts for m in ("sinr", "snr")])
+
+
+def _swept(scn: Scenario, key: str, build: Callable) -> list[tuple]:
+    """(value, build(value)) for each value of grid[key].
+
+    Every config is built, and so validated, before any filename tag
+    formats a value: an invalid value is refused as a ConfigError, never
+    reaches _tag, and writes no output.
+    """
+    return [(v, build(float(v))) for v in scn.grid[key]]
 
 
 def _gain_sweep(scn: Scenario) -> list[_Curve]:
     cfg = scn.config
     return _threshold_curves(scn, [
-        (f"cov_gain{_tag(g)}db.csv", with_antenna(cfg, replace(
-            cfg.pattern, main_gain=db_to_linear(float(g)))),
-         _metric(scn, "coverage")) for g in scn.grid["main_gain_db"]])
+        (f"cov_gain{_tag(g)}db.csv", c, _metric(scn, "coverage"))
+        for g, c in _swept(scn, "main_gain_db", lambda g: validate(replace(
+            cfg, pattern=replace(cfg.pattern, main_gain=db_to_linear(g)))))])
 
 
 def _ball_params(scn: Scenario) -> list[_Curve]:
     return _threshold_curves(scn, [
-        (f"cov_{v['name']}.csv", with_balls(scn.config, int(v.get("tier", 0)),
-                                            v["radii"], v["los_prob"]),
+        (f"cov_{v['name']}.csv", with_balls(
+            scn.config, _as_int("grid.variants.tier", v.get("tier", 0)),
+            v["radii"], v["los_prob"]),
          _metric(scn, "coverage")) for v in scn.grid["variants"]])
 
 
@@ -374,22 +388,22 @@ def _beam_error(scn: Scenario) -> list[_Curve]:
 def _hybrid_bias(scn: Scenario) -> list[_Curve]:
     mm = _band_tiers(scn, Band.MMWAVE)
     return _threshold_curves(scn, [
-        (f"cov_bias{_tag(b)}db.csv",
-         with_bias(scn.config, {i: db_to_linear(float(b)) for i in mm}),
-         _metric(scn, "coverage")) for b in scn.grid["bias_db"]])
+        (f"cov_bias{_tag(b)}db.csv", c, _metric(scn, "coverage"))
+        for b, c in _swept(scn, "bias_db", lambda b: with_bias(
+            scn.config, {i: db_to_linear(b) for i in mm}))])
 
 
 def _hybrid_density(scn: Scenario) -> list[_Curve]:
     micro = _band_tiers(scn, Band.MICROWAVE)[0]
     return _threshold_curves(scn, [
-        (f"cov_density{_tag(m)}x.csv",
-         with_density_scale(scn.config, {micro: float(m)}),
-         _metric(scn, "coverage")) for m in scn.grid["density_mult"]])
+        (f"cov_density{_tag(m)}x.csv", c, _metric(scn, "coverage"))
+        for m, c in _swept(scn, "density_mult", lambda m: with_density_scale(
+            scn.config, {micro: m}))])
 
 
 def _bias_sweep(scn: Scenario) -> list[_Curve]:
     threshold = db_to_linear(_scalar_threshold_db(scn.grid))
-    tiers = [int(i)
+    tiers = [_as_int("grid.tiers", i)
              for i in scn.grid.get("tiers", range(1, scn.config.n_tiers))]
     return _bias_curves(scn, scn.config, tiers, [
         ("coverage_vs_bias.csv", _metric(scn, "coverage"), threshold)]
@@ -397,13 +411,13 @@ def _bias_sweep(scn: Scenario) -> list[_Curve]:
 
 
 def _assoc_vs_bias(scn: Scenario) -> list[_Curve]:
-    tier = int(scn.grid.get("tier", scn.config.n_tiers - 1))
+    tier = _as_int("grid.tier", scn.grid.get("tier", scn.config.n_tiers - 1))
     return _bias_curves(scn, scn.config, [tier], _assoc_curves(scn, ""))
 
 
 def _energy(scn: Scenario) -> list[_Curve]:
     threshold = db_to_linear(_scalar_threshold_db(scn.grid))
-    tier = int(scn.grid.get("tier", scn.config.n_tiers - 1))
+    tier = _as_int("grid.tier", scn.grid.get("tier", scn.config.n_tiers - 1))
     metric = _metric(scn, "ee")
     curves = []
     for var in [{"name": "base"}] + list(scn.grid.get("variants", [])):
@@ -546,7 +560,6 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
         "scenario": scn.name,
         "experiment": scn.experiment.value,
         "mode": scn.mode,
-        "exclusion_zone": scn.exclusion_zone,
         "config_sha256": _config_sha256(scn.config_raw),
         "config_path": scn.config_path,
         "grid": scn.grid,

@@ -14,7 +14,7 @@ from hetnetsim.model import (AntennaPattern, BallSpec, Band, FadingConfig,
 
 def make_tier(density=1e-4, p_dbm=30.0, bias=1.0, radii=(50.0,), betas=(1.0,),
               alpha_los=2.0, alpha_nlos=4.0, kappa_los=1.0, kappa_nlos=None,
-              noise=1e-10, serving_gain=100.0, static=10.0, slope=4.0,
+              noise=1e-10, static=10.0, slope=4.0,
               band=Band.MMWAVE, name=""):
     if kappa_nlos is None:
         kappa_nlos = kappa_los
@@ -24,8 +24,8 @@ def make_tier(density=1e-4, p_dbm=30.0, bias=1.0, radii=(50.0,), betas=(1.0,),
                   for r, b in zip(radii, betas))
     return TierConfig(density=density, tx_power=dbm_to_watts(p_dbm),
                       bias=bias, balls=balls, noise_power=noise,
-                      serving_gain=serving_gain, static_power=static,
-                      amp_slope=slope, band=band, name=name)
+                      static_power=static, amp_slope=slope, band=band,
+                      name=name)
 
 
 def make_network(tiers, pattern=None, fading=None, ue_density=1e-3,
@@ -67,8 +67,7 @@ def random_network(rng: np.random.Generator, max_tiers=3,
             radii=radii, betas=betas, alpha_los=alpha_los,
             alpha_nlos=alpha_nlos, kappa_los=kappa,
             kappa_nlos=kappa * float(10.0 ** rng.uniform(0.0, 1.0)),
-            noise=float(10.0 ** rng.uniform(-13.0, -9.0)),
-            serving_gain=main * main))
+            noise=float(10.0 ** rng.uniform(-13.0, -9.0))))
     return make_network(tiers, pattern=pattern, fading=fading)
 
 

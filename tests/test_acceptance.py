@@ -8,6 +8,7 @@ than being weakened; the measured values appear in the failure message.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,7 @@ from hetnetsim.coverage import (coverage_with_beam_error, psi,
                                 sinr_coverage, snr_coverage_closed_form)
 from hetnetsim.metrics import energy_efficiency, rate_coverage
 from hetnetsim.model import (AntennaPattern, Band, LinkState, db_to_linear,
-                             with_antenna, with_balls, with_bias,
-                             with_density_scale)
+                             with_balls, with_bias, with_density_scale)
 from hetnetsim.montecarlo import (SimConfig, empirical_coverage,
                                   empirical_rate_coverage, simulate)
 
@@ -131,7 +131,7 @@ def test_criterion_07_coverage_grows_with_main_gain(table1):
         pat = AntennaPattern(main_gain=db_to_linear(m_db),
                              side_gain=table1.pattern.side_gain,
                              beamwidth_rad=table1.pattern.beamwidth_rad)
-        covs.append(float(sinr_coverage(with_antenna(table1, pat), [1.0],
+        covs.append(float(sinr_coverage(replace(table1, pattern=pat), [1.0],
                                         mode="snr").probability[0]))
     ok = all(b > a for a, b in zip(covs, covs[1:]))
     _report(7, ok, "snr coverage over M=0/5/10/15 dB: "

@@ -48,7 +48,7 @@ def test_alzer_sum_identity():
 
 def desk_config():
     tier = make_tier(density=3e-4, p_dbm=30.0, radii=(60.0,), betas=(1.0,),
-                     alpha_los=2.0, kappa_los=1.0, serving_gain=100.0)
+                     alpha_los=2.0, kappa_los=1.0)
     return make_network([tier])
 
 
@@ -88,7 +88,7 @@ def test_interference_term_against_expectation_oracle():
 
     oracle = 0.0
     for gain, prob in cfg.interferer_gain_pmf(0):
-        z = n * eta(n_fad) * gamma * gain * l / tier.serving_gain
+        z = n * eta(n_fad) * gamma * gain * l / cfg.serving_gain(0)
         oracle += prob * sp_integrate.quad(
             lambda v: expectation(z / v), l, 60.0 ** 2,
             epsabs=0.0, epsrel=1e-12)[0]
@@ -207,7 +207,7 @@ def test_rayleigh_single_term_against_reference(table1):
     total = 0.0
     for k, tier in enumerate(cfg.tiers):
         ratios = power_ratios(cfg, k)
-        g0 = tier.serving_gain
+        g0 = cfg.serving_gain(k)
         for state in (LinkState.LOS, LinkState.NLOS):
             a1 = gamma * tier.noise_power / (tier.tx_power * g0)
 
@@ -281,8 +281,7 @@ def test_single_tier_hand_gaussian_formula():
     # with rho = pi lambda / kappa, integrated in the path-loss variable
     lam, r_ball, kappa = 2e-4, 80.0, 50.0
     tier = make_tier(density=lam, p_dbm=33.0, radii=(r_ball,), betas=(1.0,),
-                     alpha_los=2.0, kappa_los=kappa, noise=2e-10,
-                     serving_gain=100.0)
+                     alpha_los=2.0, kappa_los=kappa, noise=2e-10)
     cfg = make_network([tier])
     gamma = db_to_linear(5.0)
     n_fad = cfg.fading.n_los
@@ -322,28 +321,6 @@ def test_conditional_decomposition(table1):
     assert mix == pytest.approx(cv.probability[0], rel=1e-9)
 
 
-def test_exclusion_zone_equal_gains_coincide(table1):
-    gammas = [db_to_linear(0.0)]
-    a = sinr_coverage(table1, gammas, exclusion_zone="with_gains")
-    b = sinr_coverage(table1, gammas, exclusion_zone="without_gains")
-    assert a.probability[0] == pytest.approx(b.probability[0], abs=1e-12)
-
-
-def test_exclusion_zone_distinct_gains_differ():
-    tiers = [make_tier(density=1e-4, p_dbm=40.0, radii=(120.0,),
-                       betas=(0.7,), kappa_los=1e3, kappa_nlos=1e3,
-                       serving_gain=100.0),
-             make_tier(density=4e-4, p_dbm=25.0, radii=(60.0,), betas=(0.9,),
-                       kappa_los=1e3, kappa_nlos=1e3, serving_gain=25.0)]
-    cfg = make_network(tiers)
-    a = sinr_coverage(cfg, [1.0], exclusion_zone="with_gains")
-    b = sinr_coverage(cfg, [1.0], exclusion_zone="without_gains")
-    assert abs(a.probability[0] - b.probability[0]) > 1e-5
-    assert a.converged.all() and b.converged.all()
-    with pytest.raises(ValueError):
-        sinr_coverage(cfg, [1.0], exclusion_zone="sometimes")
-
-
 def test_alignment_probability_limits():
     theta = math.radians(30.0)
     assert alignment_probability(theta, 0.0) == 1.0
@@ -369,8 +346,8 @@ def test_beam_error_limits(table1):
     m_gain = table1.pattern.main_gain * table1.pattern.side_gain
     mm_gain = table1.pattern.side_gain ** 2
     blind = coverage_with_beam_error(table1, gammas, sigma_be_rad=1e9)
-    worst = sinr_coverage(table1, [[g * t.serving_gain / mm_gain
-                                    for t in table1.tiers] for g in gammas])
+    worst = sinr_coverage(table1, [[g * table1.serving_gain(k) / mm_gain
+                                    for k in range(3)] for g in gammas])
     assert blind.probability[0] == pytest.approx(worst.probability[0],
                                                  rel=1e-6)
     # monotone in the error spread
@@ -388,7 +365,7 @@ def test_beam_error_skips_zero_weight_parts(table1, monkeypatch):
 
     def counted(cfg, grid, **kwargs):
         # the serving gain each grid row stands for: G gamma / grid
-        calls.extend(cfg.tiers[0].serving_gain
+        calls.extend(cfg.serving_gain(0)
                      * np.resize(gammas, len(grid)) / grid[:, 0])
         return real(cfg, grid, **kwargs)
 
@@ -446,6 +423,24 @@ def test_cross_band_isolation(hybrid):
         assert np.allclose(base.joint[:, k, :], moved.joint[:, k, :],
                            atol=1e-12)
     assert abs(base.joint[0, 0, :].sum() - moved.joint[0, 0, :].sum()) > 1e-9
+
+
+def test_mu_pattern_main_gain_moves_the_microwave_tier(hybrid):
+    # the serving gain follows the pattern it is derived from, in the
+    # analytic coverage and in the drop simulator alike
+    mu_pat = hybrid.mu_pattern
+    louder = replace(hybrid, mu_pattern=replace(
+        mu_pat, main_gain=4.0 * mu_pat.main_gain))
+    assert louder.serving_gain(0) == pytest.approx(
+        4.0 * hybrid.serving_gain(0), rel=1e-15)
+    assert louder.serving_gain(1) == hybrid.serving_gain(1)
+    gammas = [db_to_linear(10.0)]
+    base, moved = sinr_coverage(hybrid, gammas), sinr_coverage(louder, gammas)
+    assert moved.joint[0, 0, :].sum() > base.joint[0, 0, :].sum() + 0.01
+    sim = SimConfig(drops=4000, seed=6)
+    mc_base, se_base = empirical_coverage(simulate(hybrid, sim), gammas)
+    mc_moved, se_moved = empirical_coverage(simulate(louder, sim), gammas)
+    assert mc_moved[0] - mc_base[0] > 4.0 * (se_base[0] + se_moved[0])
 
 
 def test_coverage_monotone_in_threshold(table1):

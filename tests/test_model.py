@@ -1,6 +1,9 @@
 """Config parsing, unit conversion, antenna pmf and blockage geometry."""
 
+import json
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,8 +13,8 @@ from hetnetsim.intensity import state_segments
 from hetnetsim.model import (AntennaPattern, Band, ConfigError, FadingConfig,
                              LinkState, NetworkConfig, cross_gain_pmf,
                              db_to_linear, dbm_to_watts, friis_kappa,
-                             gain_pmf, linear_to_db, noise_power_w, validate,
-                             watts_to_dbm, with_antenna, with_bias,
+                             gain_pmf, linear_to_db, network_from_dict,
+                             noise_power_w, validate, watts_to_dbm, with_bias,
                              with_density_scale)
 
 
@@ -146,8 +149,10 @@ def test_hybrid_loading(hybrid):
     micro = hybrid.tiers[0]
     assert micro.band is Band.MICROWAVE
     # microwave serving gain couples the BS-side pattern with the UE pattern
-    assert micro.serving_gain == pytest.approx(
-        hybrid.mu_pattern.main_gain * hybrid.pattern.main_gain)
+    assert hybrid.serving_gain(0) == \
+        hybrid.mu_pattern.main_gain * hybrid.pattern.main_gain
+    assert hybrid.bs_pattern(0) is hybrid.mu_pattern
+    assert hybrid.bs_pattern(1) is hybrid.pattern
     assert len(hybrid.interferer_gain_pmf(0)) == 4
     assert len(hybrid.interferer_gain_pmf(1)) == 3
     assert hybrid.same_band_tiers(0) == (0,)
@@ -168,12 +173,40 @@ def test_with_bias_and_density(table1):
     assert cfg2.tiers[0].density == pytest.approx(10.0 * table1.tiers[0].density)
 
 
-def test_with_antenna_updates_serving_gain(table1):
-    pat = AntennaPattern(main_gain=db_to_linear(15.0),
-                         side_gain=table1.pattern.side_gain,
-                         beamwidth_rad=table1.pattern.beamwidth_rad)
-    cfg = with_antenna(table1, pat)
-    assert cfg.tiers[0].serving_gain == pytest.approx(pat.main_gain ** 2)
+def test_pattern_swap_updates_serving_gain(table1):
+    pat = replace(table1.pattern, main_gain=db_to_linear(15.0))
+    cfg = replace(table1, pattern=pat)
+    assert [cfg.serving_gain(k) for k in range(3)] == \
+        [pat.main_gain * pat.main_gain] * 3
+
+
+@pytest.mark.parametrize("path, value", [
+    (("tiers", 0, "density_per_m2"), math.nan),
+    (("tiers", 1, "bias_db"), math.inf),
+    (("tiers", 2, "tx_power_dbm"), math.nan),
+    (("antenna", "main_db"), math.inf),
+    (("tiers", 0, "balls", 1, "radius_m"), math.inf),
+    (("tiers", 0, "balls", 0, "alpha_nlos"), math.nan),
+    (("carrier_hz",), math.nan),
+])
+def test_validate_refuses_non_finite_numbers(path, value):
+    raw = json.loads(resources.files("hetnetsim").joinpath(
+        "data", "table1.json").read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        network_from_dict(raw)
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    assert name.lstrip(".") in str(err.value)
+
+
+def test_sweep_builders_validate(table1):
+    with pytest.raises(ConfigError, match=r"tiers\[0\].density_per_m2"):
+        with_density_scale(table1, {0: -1.0})
+    with pytest.raises(ConfigError, match=r"tiers\[2\].bias_db"):
+        with_bias(table1, {2: math.inf})
 
 
 def test_outage_radius(table1):

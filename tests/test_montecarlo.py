@@ -75,7 +75,7 @@ def test_serving_fading_is_unit_mean_nakagami():
     batch = simulate(cfg, sim)
     live = batch.tier >= 0
     h = (batch.snr[live] * tier.noise_power * batch.path_loss[live]
-         / (tier.tx_power * tier.serving_gain))
+         / (tier.tx_power * cfg.serving_gain(0)))
     n_fad = cfg.fading.n_los
     se = math.sqrt(1.0 / n_fad / live.sum())
     assert h.mean() == pytest.approx(1.0, abs=3.0 * se)

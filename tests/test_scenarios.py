@@ -15,8 +15,7 @@ from hetnetsim.coverage import (coverage_with_beam_error, sinr_coverage,
                                 snr_coverage_closed_form)
 from hetnetsim.metrics import energy_efficiency, mean_loads, rate_coverage
 from hetnetsim.model import (ConfigError, db_to_linear, network_from_dict,
-                             with_antenna, with_balls, with_bias,
-                             with_density_scale)
+                             with_balls, with_bias, with_density_scale)
 from hetnetsim.scenarios import (Experiment, Scenario, _tag, load_scenario,
                                  run_scenario)
 
@@ -70,7 +69,7 @@ def test_load_scenario_inline_config(tmp_path):
     assert scn.config.n_tiers == 1
     assert scn.monte_carlo.drops == 2000
     assert scn.monte_carlo.parallel_chunks == 4
-    assert scn.mode == "sinr" and scn.exclusion_zone == "with_gains"
+    assert scn.mode == "sinr"
 
 
 def test_load_scenario_bundled_and_relative(tmp_path):
@@ -298,6 +297,17 @@ _BAD_TIER_GRIDS = (
      "tier index 3"),
     ("SINR_VS_SNR", {"threshold_db": [0.0], "tier_counts": [0]},
      "at least one tier index"),
+    ("ASSOC_VS_BIAS", {"bias_db": [0.0], "tier": None},
+     "grid.tier must be an integer, got None"),
+    ("ENERGY", {"bias_db": [0.0], "tier": 1.7},
+     "grid.tier must be an integer, got 1.7"),
+    ("BIAS_SWEEP", {"bias_db": [0.0], "tiers": [1, None]},
+     "grid.tiers must be an integer, got None"),
+    ("BALL_PARAMS", {"threshold_db": [0.0], "variants": [
+        {"name": "v", "tier": 0.5, "radii": [30], "los_prob": [1.0]}]},
+     "grid.variants.tier must be an integer, got 0.5"),
+    ("SINR_VS_SNR", {"threshold_db": [0.0], "tier_counts": [1.5]},
+     "grid.tier_counts must be an integer, got 1.5"),
 )
 
 
@@ -321,6 +331,47 @@ def test_beam_error_refuses_bad_pointing_error(tmp_path):
         with pytest.raises(ConfigError, match="finite and >= 0"):
             load_scenario(write_scenario(tmp_path, body))
         assert not (tmp_path / f"never{i}").exists()
+
+
+_BAD_SWEEP_GRIDS = (
+    ("HYBRID_DENSITY", "bundled:hybrid",
+     {"threshold_db": [0.0], "density_mult": [-1]},
+     r"tiers\[0\].density_per_m2"),
+    ("GAIN_SWEEP", "bundled:table1",
+     {"threshold_db": [0.0], "main_gain_db": [-20]},
+     "main-lobe gain below side-lobe gain"),
+    ("GAIN_SWEEP", "bundled:table1",
+     {"threshold_db": [0.0], "main_gain_db": [math.inf]}, "antenna.main_db"),
+    ("ASSOC_VS_BIAS", "bundled:hybrid", {"bias_db": [math.inf]},
+     r"tiers\[2\].bias_db"),
+)
+
+
+@pytest.mark.parametrize("experiment, config, grid, message", _BAD_SWEEP_GRIDS)
+def test_sweeps_refuse_configs_they_cannot_validate(tmp_path, experiment,
+                                                    config, grid, message):
+    body = {"name": "bad", "experiment": experiment, "config": config,
+            "grid": grid}
+    scn = load_scenario(write_scenario(tmp_path, body))
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(scn, output_dir=tmp_path / "never")
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"workers": None}, "workers must be an integer, got None"),
+    ({"workers": 2.7}, "workers must be an integer, got 2.7"),
+    ({"monte_carlo": {"drops": None}},
+     "monte_carlo: drops must be an integer, got None"),
+    ({"monte_carlo": {"drops": 100, "seed": None}},
+     "monte_carlo: seed must be an integer, got None"),
+    ({"monte_carlo": {"drops": 100, "chunks": True}},
+     "monte_carlo: chunks must be an integer, got True"),
+])
+def test_scenario_integers_of_the_wrong_type_are_refused(tmp_path, change,
+                                                         message):
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(basic_scenario(tmp_path, **change))
 
 
 def test_only_runs_that_reach_the_kernel_start_a_pool(tmp_path, monkeypatch):
@@ -419,7 +470,9 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
              "monte_carlo has unknown keys: chunkz, window_radius"),
             ({"grid": dict(body["grid"], bias_dbb=[1.0])},
              "HYBRID_BIAS grid has unknown keys: bias_dbb"),
-            ({"wokers": 2}, "scenario has unknown keys: wokers")):
+            ({"wokers": 2}, "scenario has unknown keys: wokers"),
+            ({"exclusion_zone": "with_gains"},
+             "scenario has unknown keys: exclusion_zone")):
         path = write_scenario(tmp_path, dict(body, **change))
         with pytest.raises(ConfigError, match=message):
             load_scenario(path)
@@ -445,8 +498,8 @@ def test_closed24_conversion_rules(tmp_path):
         name="g", config=cfg, experiment=Experiment.GAIN_SWEEP,
         grid={"threshold_db": thresholds, "main_gain_db": [12.0]},
         mode="closed24"), output_dir=tmp_path / "g")
-    wider = with_antenna(
-        cfg, replace(cfg.pattern, main_gain=db_to_linear(12.0)))
+    wider = replace(
+        cfg, pattern=replace(cfg.pattern, main_gain=db_to_linear(12.0)))
     for row, t in zip(rows_of(gain, "cov_gain12db.csv"), thresholds):
         want = snr_coverage_closed_form(wider, [db_to_linear(t)])
         assert row[1:3] == [f"{want.probability[0]:.12g}", "0"]
@@ -512,8 +565,9 @@ END_TO_END = {
             cfg, [db_to_linear(t)], mode="snr")}),
     Experiment.GAIN_SWEEP: (False, "threshold_db", {
         "threshold_db": [0.0], "main_gain_db": [5.0]}, {
-        "cov_gain5db.csv": lambda cfg, t: _coverage(with_antenna(
-            cfg, replace(cfg.pattern, main_gain=db_to_linear(5.0))), t)}),
+        "cov_gain5db.csv": lambda cfg, t: _coverage(replace(
+            cfg, pattern=replace(cfg.pattern, main_gain=db_to_linear(5.0))),
+            t)}),
     Experiment.BALL_PARAMS: (False, "threshold_db", {
         "threshold_db": [0.0], "variants": [
             {"name": "wide", "tier": 0, "radii": [30, 80],
