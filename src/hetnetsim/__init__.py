@@ -9,8 +9,7 @@ from .association import (AssociationTable, association_approx,
                           association_closed_form_2tier, association_table,
                           outage_probability)
 from .coverage import (CoverageCurve, alignment_probability,
-                       coverage_with_beam_error, sinr_coverage,
-                       snr_coverage_closed_form)
+                       coverage_with_beam_error, sinr_coverage)
 from .intensity import (breakpoints, lambda_density, lambda_split,
                         lambda_total, max_loss, total_mass)
 from .metrics import (EnergyReport, energy_efficiency, equivalent_thresholds,
@@ -43,7 +42,6 @@ __all__ = [
     "linear_to_db", "load_config", "load_scenario", "max_loss",
     "mean_loads", "network_from_dict", "noise_power_w",
     "outage_probability", "rate_coverage", "run_scenario", "simulate",
-    "sinr_coverage", "snr_coverage_closed_form",
-    "total_mass", "validate", "watts_to_dbm", "with_balls", "with_bias",
-    "with_density_scale",
+    "sinr_coverage", "total_mass", "validate", "watts_to_dbm",
+    "with_balls", "with_bias", "with_density_scale",
 ]

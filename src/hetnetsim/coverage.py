@@ -11,7 +11,8 @@ a finite n-sum of exponentials.
 Integrals are computed in the squared-radius variable per blockage annulus,
 which makes the serving density constant and every integrand analytic.  The
 interference exponents are exact there; only the serving-loss integral is
-adaptive.
+adaptive.  Mode "closed24" is noise-limited coverage for exponents (2, 4)
+with no quadrature at all: each (tier, state) term is in error functions.
 """
 
 from __future__ import annotations
@@ -243,10 +244,20 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *,
 
     thresholds are linear; pass an (n, K) array for per-tier values (rate
     coverage and beam error do).  mode "sinr" includes same-band
-    interference, "snr" drops it.
+    interference, "snr" drops it, and "closed24" is "snr" in closed form,
+    which needs alpha_los 2 and alpha_nlos 4 on every ball.
     """
-    if mode not in ("sinr", "snr"):
-        raise ValueError(f"mode must be 'sinr' or 'snr', got {mode!r}")
+    if mode not in ("sinr", "snr", "closed24"):
+        raise ValueError(f"mode must be sinr, snr or closed24, got {mode!r}")
+    term = _term
+    if mode == "closed24":
+        term = _closed_term
+        for i, t in enumerate(cfg.tiers):
+            for dd, ball in enumerate(t.balls):
+                if ball.alpha_los != 2.0 or ball.alpha_nlos != 4.0:
+                    raise ValueError(
+                        f"tiers[{i}].balls[{dd}]: closed form requires "
+                        "alpha_los 2 and alpha_nlos 4")
     grid = _normalize_thresholds(cfg, thresholds)
     n_pts = grid.shape[0]
     joint = np.zeros((n_pts, cfg.n_tiers, 2))
@@ -256,7 +267,7 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *,
         for k in range(cfg.n_tiers):
             ratios = power_ratios(cfg, k)
             for col, state in enumerate(_STATES):
-                v, e, ok = _term(cfg, k, state, grid[i, k], mode, ratios)
+                v, e, ok = term(cfg, k, state, grid[i, k], mode, ratios)
                 joint[i, k, col] = v
                 errs[i] += e
                 conv[i] = conv[i] and ok
@@ -314,58 +325,39 @@ def _quadratic_pieces(cfg: NetworkConfig, ratios: np.ndarray, x_lo: float,
         yield x0, x1, b, c, d
 
 
-def snr_coverage_closed_form(cfg: NetworkConfig, thresholds) -> CoverageCurve:
-    """Noise-limited coverage in closed form for alpha pairs (2, 4).
+def _closed_term(cfg: NetworkConfig, k: int, state: LinkState,
+                 gamma_k: float, mode: str, ratios: np.ndarray):
+    """_term's noise-limited mass in closed form, for alpha pairs (2, 4).
 
-    In the x = sqrt(path loss) variable every exponent is piecewise quadratic,
-    so each serving annulus reduces to error-function segments; no quadrature.
+    It takes _term's arguments and returns (value, 0.0, True).  In the
+    x = sqrt(path loss) variable every exponent is piecewise quadratic, so
+    each serving annulus reduces to error-function segments; no quadrature.
     """
-    for i, t in enumerate(cfg.tiers):
-        for dd, ball in enumerate(t.balls):
-            if ball.alpha_los != 2.0 or ball.alpha_nlos != 4.0:
-                raise ValueError(
-                    f"tiers[{i}].balls[{dd}]: closed form requires alpha_los 2 "
-                    "and alpha_nlos 4")
-    grid = _normalize_thresholds(cfg, thresholds)
-    n_pts = grid.shape[0]
-    joint = np.zeros((n_pts, cfg.n_tiers, 2))
-    for i in range(n_pts):
-        for k, tier in enumerate(cfg.tiers):
-            ratios = power_ratios(cfg, k)
-            for col, state in enumerate(_STATES):
-                n_serv = cfg.fading.n(state)
-                eta_s = eta(n_serv)
-                a1 = (eta_s * grid[i, k] * tier.noise_power
-                      / (tier.tx_power * cfg.serving_gain(k)))
-                acc = 0.0
-                for seg in intensity.state_segments(tier, state):
-                    if seg.alpha == 2.0:
-                        x_lo = math.sqrt(seg.kappa) * math.sqrt(seg.lo_r2)
-                        x_hi = math.sqrt(seg.kappa) * math.sqrt(seg.hi_r2)
-                        pref = (2.0 * math.pi * tier.density * seg.weight
-                                / seg.kappa)
-                    else:
-                        x_lo = math.sqrt(seg.kappa) * seg.lo_r2
-                        x_hi = math.sqrt(seg.kappa) * seg.hi_r2
-                        pref = (math.pi * tier.density * seg.weight
-                                / math.sqrt(seg.kappa))
-                    seg_sum = 0.0
-                    pieces = list(_quadratic_pieces(cfg, ratios, x_lo, x_hi))
-                    for n in range(1, n_serv + 1):
-                        coef = (-1.0) ** (n + 1) * math.comb(n_serv, n)
-                        for x0, x1, b, c, d in pieces:
-                            p = n * a1 + b
-                            i_const, i_lin = _gauss_segment_integrals(
-                                p, c, np.float64(x0), np.float64(x1))
-                            pick = i_lin if seg.alpha == 2.0 else i_const
-                            seg_sum += coef * math.exp(-d) * float(pick)
-                    acc += pref * seg_sum
-                joint[i, k, col] = acc
-    x = grid[:, 0]
-    return CoverageCurve(
-        x=x, probability=joint.sum(axis=(1, 2)), joint=joint,
-        error=np.zeros(n_pts), converged=np.ones(n_pts, dtype=bool),
-        mode="closed24")
+    tier = cfg.tiers[k]
+    n_serv = cfg.fading.n(state)
+    a1 = (eta(n_serv) * gamma_k * tier.noise_power
+          / (tier.tx_power * cfg.serving_gain(k)))
+    acc = 0.0
+    for seg in intensity.state_segments(tier, state):
+        if seg.alpha == 2.0:
+            x_lo = math.sqrt(seg.kappa) * math.sqrt(seg.lo_r2)
+            x_hi = math.sqrt(seg.kappa) * math.sqrt(seg.hi_r2)
+            pref = 2.0 * math.pi * tier.density * seg.weight / seg.kappa
+        else:
+            x_lo = math.sqrt(seg.kappa) * seg.lo_r2
+            x_hi = math.sqrt(seg.kappa) * seg.hi_r2
+            pref = math.pi * tier.density * seg.weight / math.sqrt(seg.kappa)
+        seg_sum = 0.0
+        pieces = list(_quadratic_pieces(cfg, ratios, x_lo, x_hi))
+        for n in range(1, n_serv + 1):
+            coef = (-1.0) ** (n + 1) * math.comb(n_serv, n)
+            for x0, x1, b, c, d in pieces:
+                i_const, i_lin = _gauss_segment_integrals(
+                    n * a1 + b, c, np.float64(x0), np.float64(x1))
+                pick = i_lin if seg.alpha == 2.0 else i_const
+                seg_sum += coef * math.exp(-d) * float(pick)
+        acc += pref * seg_sum
+    return acc, 0.0, True
 
 
 def alignment_probability(beamwidth_rad: float, sigma_be_rad: float) -> float:

@@ -106,29 +106,22 @@ def _nonnegative(name: str, value: float) -> list[str]:
     return [f"{name}: must be finite and >= 0, got {value}"]
 
 
-def gain_pmf(pattern: AntennaPattern) -> tuple[tuple[float, float], ...]:
-    """Interferer gain pmf when both link ends use the same sectored pattern.
-
-    Each end points its main lobe uniformly at random, so the composite gain is
-    MM, Mm or mm with the square/cross/complement probabilities.  Returns
-    exactly three (gain, probability) pairs summing to one.
-    """
-    q = pattern.main_prob
-    mm = pattern.main_gain * pattern.main_gain
-    ms = pattern.main_gain * pattern.side_gain
-    ss = pattern.side_gain * pattern.side_gain
-    return ((mm, q * q), (ms, 2.0 * q * (1.0 - q)), (ss, (1.0 - q) * (1.0 - q)))
-
-
 def cross_gain_pmf(bs: AntennaPattern, ue: AntennaPattern) -> tuple[tuple[float, float], ...]:
-    """Interferer gain pmf for unlike patterns at the two link ends (4 atoms)."""
+    """Gain pmf of an interfering BS with pattern bs at a UE with pattern ue.
+
+    Each end points its main lobe uniformly at random, so the composite gain
+    is one of four lobe products with the product probabilities.  Products of
+    equal gain merge into one atom, in first-seen order: like patterns give
+    MM, Mm and mm.
+    """
     qb, qu = bs.main_prob, ue.main_prob
-    return (
-        (bs.main_gain * ue.main_gain, qb * qu),
-        (bs.main_gain * ue.side_gain, qb * (1.0 - qu)),
-        (bs.side_gain * ue.main_gain, (1.0 - qb) * qu),
-        (bs.side_gain * ue.side_gain, (1.0 - qb) * (1.0 - qu)),
-    )
+    pmf: dict[float, float] = {}
+    for gain, prob in ((bs.main_gain * ue.main_gain, qb * qu),
+                       (bs.main_gain * ue.side_gain, qb * (1.0 - qu)),
+                       (bs.side_gain * ue.main_gain, (1.0 - qb) * qu),
+                       (bs.side_gain * ue.side_gain, (1.0 - qb) * (1.0 - qu))):
+        pmf[gain] = pmf.get(gain, 0.0) + prob
+    return tuple(pmf.items())
 
 
 @dataclass(frozen=True)
@@ -230,10 +223,7 @@ class NetworkConfig:
 
     def interferer_gain_pmf(self, tier_index: int) -> tuple[tuple[float, float], ...]:
         """Gain pmf of an interfering BS in the given tier."""
-        bs = self.bs_pattern(tier_index)
-        if bs is self.pattern:
-            return gain_pmf(bs)
-        return cross_gain_pmf(bs, self.pattern)
+        return cross_gain_pmf(self.bs_pattern(tier_index), self.pattern)
 
     def same_band_tiers(self, tier_index: int) -> tuple[int, ...]:
         band = self.tiers[tier_index].band

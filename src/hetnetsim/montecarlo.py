@@ -197,16 +197,25 @@ def simulate(cfg: NetworkConfig, sim: SimConfig, *, sigma_be_rad: float = 0.0,
                        for f in fields(DropBatch)))
 
 
-def drop_rates(cfg: NetworkConfig, batch: DropBatch, loads) -> np.ndarray:
+def _statistic(batch: DropBatch, mode: str) -> np.ndarray:
+    """The per-drop SINR (mode "sinr") or SNR (mode "snr")."""
+    if mode not in ("sinr", "snr"):
+        raise ValueError(f"mode must be 'sinr' or 'snr', got {mode!r}")
+    return batch.sinr if mode == "sinr" else batch.snr
+
+
+def drop_rates(cfg: NetworkConfig, batch: DropBatch, loads, *,
+               mode: str = "sinr") -> np.ndarray:
     """Per-drop rate in bit/s, 0 on outage drops.
 
-    A drop served by tier k gets bandwidth / loads[k] times log2(1 + SINR):
-    its tier's mean load shares the band.
+    A drop served by tier k gets bandwidth / loads[k] times log2(1 + SINR),
+    or of the SNR under mode "snr": its tier's mean load shares the band.
     """
     loads = np.asarray(loads, dtype=float)
     if loads.shape != (cfg.n_tiers,):
         raise ValueError("loads must be a length-K vector")
-    rate = (cfg.bandwidth / loads[batch.tier]) * np.log2(1.0 + batch.sinr)
+    rate = ((cfg.bandwidth / loads[batch.tier])
+            * np.log2(1.0 + _statistic(batch, mode)))
     return np.where(batch.tier < 0, 0.0, rate)
 
 
@@ -244,12 +253,10 @@ def _exceedance(values: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
 
 def empirical_coverage(batch: DropBatch, thresholds, *, mode: str = "sinr"):
     """P(SINR or SNR > threshold) over a grid, with binomial stderrs."""
-    if mode not in ("sinr", "snr"):
-        raise ValueError(f"mode must be 'sinr' or 'snr', got {mode!r}")
-    return _exceedance(batch.sinr if mode == "sinr" else batch.snr, thresholds)
+    return _exceedance(_statistic(batch, mode), thresholds)
 
 
 def empirical_rate_coverage(cfg: NetworkConfig, batch: DropBatch, rates,
-                            loads):
-    """P(rate > rho) over a grid of bit/s targets under the given mean loads."""
-    return _exceedance(drop_rates(cfg, batch, loads), rates)
+                            loads, *, mode: str = "sinr"):
+    """P(rate > rho) over bit/s targets under the given loads and mode."""
+    return _exceedance(drop_rates(cfg, batch, loads, mode=mode), rates)

@@ -111,6 +111,15 @@ def _validate_grid(experiment: Experiment, grid: dict) -> None:
     _check_keys(f"{experiment.value} grid", grid, required + optional)
     for key in required:
         _as_list(grid, key)
+    for key in ("tiers", "tier_counts", "variants"):
+        if not isinstance(grid.get(key, ()), (list, tuple)):
+            raise ConfigError(f"grid.{key} must be a list, got {grid[key]!r}")
+    needs = (("name", "radii", "los_prob")
+             if experiment is Experiment.BALL_PARAMS else ("name",))
+    for var in grid.get("variants", ()):
+        if not isinstance(var, dict) or any(k not in var for k in needs):
+            raise ConfigError(f"grid.variants entries must be objects with "
+                              f"{', '.join(needs)}, got {var!r}")
     for sigma in grid.get("sigma_be_deg", ()):
         try:
             ok = math.isfinite(float(sigma)) and float(sigma) >= 0.0
@@ -199,10 +208,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
 @dataclass(frozen=True)
 class _Metric:
-    """What every point of one curve computes."""
+    """What every point of one curve computes, in sinr_coverage's modes."""
 
-    kind: str                 # coverage, closed24, beam, rate, ee or assoc
-    mode: str                 # sinr or snr; also the Monte Carlo statistic
+    kind: str                 # coverage, beam, rate, ee or assoc
+    mode: str                 # sinr, snr or closed24 (Monte Carlo: snr)
     sigma: float = 0.0        # beam pointing error, radians
 
 
@@ -217,23 +226,15 @@ class _Curve:
 
 def _metric(scn: Scenario, kind: str, mode: str | None = None, *,
             sigma: float = 0.0) -> _Metric:
-    """The metric of one curve under the scenario's mode.
+    """The metric of one curve, in the scenario's mode unless `mode` is given.
 
-    Under closed24, noise-limited coverage takes the (2, 4) closed form,
-    SINR coverage stays on quadrature, and beam, rate and energy metrics,
-    which have no closed form, are refused before anything runs.  So is
-    Monte Carlo for energy efficiency, which has no empirical estimator.
+    Every metric takes every mode.  Monte Carlo for energy efficiency, which
+    has no empirical estimator, is refused before anything runs.
     """
-    mode = mode or scn.mode
-    if scn.mode == "closed24" and kind == "coverage" and mode != "sinr":
-        kind, mode = "closed24", "snr"
-    elif scn.mode == "closed24" and kind in ("beam", "rate", "ee"):
-        raise ConfigError(
-            "mode closed24 applies only to coverage threshold sweeps")
     if kind == "ee" and scn.monte_carlo is not None:
         raise ConfigError(
             "ENERGY has no Monte Carlo estimator; remove monte_carlo")
-    return _Metric(kind, mode, sigma)
+    return _Metric(kind, mode or scn.mode, sigma)
 
 
 def _eval_analytic(job: tuple) -> tuple[Any, float, bool]:
@@ -251,9 +252,7 @@ def _eval_analytic(job: tuple) -> tuple[Any, float, bool]:
     if metric.kind == "ee":
         report = metrics.energy_efficiency(cfg, x, mode=metric.mode)
         return report.energy_efficiency, report.error, report.converged
-    if metric.kind == "closed24":
-        curve = coverage.snr_coverage_closed_form(cfg, [x])
-    elif metric.kind == "beam":
+    if metric.kind == "beam":
         curve = coverage.coverage_with_beam_error(
             cfg, [x], sigma_be_rad=metric.sigma, mode=metric.mode)
     else:
@@ -274,17 +273,18 @@ def _mc_estimate(curve: _Curve, cfg: NetworkConfig, x: float, arg: Any,
 
     An association point reads its curve's tier share, a rate point the
     rate itself, the CSV x, under the curve's mean loads, and every other
-    point its threshold under the curve's mode.
+    point its threshold.  Both read the SINR or, under modes snr and
+    closed24, the SNR.
     """
     if curve.metric.kind == "assoc":
         share, se = montecarlo.empirical_tier_share(cfg, batch)
         return share[curve.tier], se[curve.tier]
+    stat = "sinr" if curve.metric.mode == "sinr" else "snr"
     if curve.metric.kind == "rate":
-        probs, ses = montecarlo.empirical_rate_coverage(cfg, batch, [x],
-                                                        curve.loads)
+        probs, ses = montecarlo.empirical_rate_coverage(
+            cfg, batch, [x], curve.loads, mode=stat)
     else:
-        probs, ses = montecarlo.empirical_coverage(batch, [arg],
-                                                   mode=curve.metric.mode)
+        probs, ses = montecarlo.empirical_coverage(batch, [arg], mode=stat)
     return probs[0], ses[0]
 
 
@@ -346,10 +346,12 @@ def _assoc_curves(scn: Scenario, suffix: str) -> list[tuple]:
 def _sinr_vs_snr(scn: Scenario) -> list[_Curve]:
     counts = [_as_int("grid.tier_counts", n) for n in scn.grid.get(
         "tier_counts", range(1, scn.config.n_tiers + 1))]
+    # closed24 puts the snr curves in closed form; sinr stays on quadrature
+    snr = "closed24" if scn.mode == "closed24" else "snr"
     return _threshold_curves(scn, [
-        (f"{m}_tiers{n}.csv", scn.config.subset(tuple(range(n))),
-         _metric(scn, "coverage", m))
-        for n in counts for m in ("sinr", "snr")])
+        (f"{name}_tiers{n}.csv", scn.config.subset(tuple(range(n))),
+         _metric(scn, "coverage", mode))
+        for n in counts for name, mode in (("sinr", "sinr"), ("snr", snr))])
 
 
 def _swept(scn: Scenario, key: str, build: Callable) -> list[tuple]:

@@ -19,8 +19,7 @@ from hetnetsim import intensity, quadrature
 from hetnetsim.association import (association_approx,
                                    association_closed_form_2tier,
                                    association_table)
-from hetnetsim.coverage import (coverage_with_beam_error, psi,
-                                sinr_coverage, snr_coverage_closed_form)
+from hetnetsim.coverage import coverage_with_beam_error, psi, sinr_coverage
 from hetnetsim.metrics import energy_efficiency, rate_coverage
 from hetnetsim.model import (AntennaPattern, Band, LinkState, db_to_linear,
                              with_balls, with_bias, with_density_scale)
@@ -64,7 +63,7 @@ def test_criterion_02_snr_vs_monte_carlo(table1):
 def test_criterion_03_closed_form_equals_quadrature(table1):
     gammas = np.array([db_to_linear(g) for g in np.linspace(-25.0, 25.0, 50)])
     quad = sinr_coverage(table1, gammas, mode="snr")
-    closed = snr_coverage_closed_form(table1, gammas)
+    closed = sinr_coverage(table1, gammas, mode="closed24")
     diff = float(np.abs(quad.probability - closed.probability).max())
     ok = diff <= 1e-4 and quad.converged.all() and closed.converged.all()
     _report(3, ok, f"max diff over 50 thresholds = {diff:.2e} (tol 1e-4)")

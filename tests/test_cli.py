@@ -65,13 +65,16 @@ def test_run_bad_scenario_exits_one(tmp_path, capsys):
 
 
 def test_run_mode_override_conflicts_exit_one(tmp_path, capsys):
-    body = {"name": "r", "experiment": "RATE", "config": small_config(),
+    # the closed form needs path-loss exponents (2, 4) on every ball
+    config = small_config()
+    config["tiers"][0]["balls"][0]["alpha_nlos"] = 3.5
+    body = {"name": "r", "experiment": "RATE", "config": config,
             "grid": {"rate_bps": [1e8]}}
     scn = write_scenario(tmp_path, body)
     assert cli.main(["run", str(scn), "--mode", "closed24",
                      "--out", str(tmp_path / "never")]) == 1
     assert not (tmp_path / "never").exists()
-    capsys.readouterr()
+    assert "closed form requires" in capsys.readouterr().err
 
 
 def test_run_flags_nonconvergence_exit_two(tmp_path, capsys, monkeypatch):

@@ -17,8 +17,7 @@ from hetnetsim import association, coverage, intensity
 from hetnetsim.association import association_table, power_ratios
 from hetnetsim.coverage import (alignment_probability,
                                 coverage_with_beam_error, eta,
-                                interference_term, psi, sinr_coverage,
-                                snr_coverage_closed_form)
+                                interference_term, psi, sinr_coverage)
 from hetnetsim.model import (AntennaPattern, Band, FadingConfig, LinkState,
                              db_to_linear, with_bias)
 from hetnetsim.montecarlo import SimConfig, empirical_coverage, simulate
@@ -263,7 +262,7 @@ def test_noise_free_snr_is_association_mass(table1):
 def test_closed_form_matches_quadrature(table1):
     gammas = np.array([db_to_linear(x) for x in np.linspace(-25.0, 25.0, 11)])
     quad = sinr_coverage(table1, gammas, mode="snr")
-    closed = snr_coverage_closed_form(table1, gammas)
+    closed = sinr_coverage(table1, gammas, mode="closed24")
     assert np.abs(quad.probability - closed.probability).max() <= 1e-4
     assert closed.converged.all()
 
@@ -272,7 +271,7 @@ def test_closed_form_rejects_other_exponents():
     tier = make_tier(alpha_los=2.5)
     cfg = make_network([tier])
     with pytest.raises(ValueError):
-        snr_coverage_closed_form(cfg, [1.0])
+        sinr_coverage(cfg, [1.0], mode="closed24")
 
 
 def test_single_tier_hand_gaussian_formula():
@@ -294,7 +293,7 @@ def test_single_tier_hand_gaussian_formula():
         p = n * a1 + rho
         hand += coef * rho / p * (1.0 - math.exp(-p * l_max))
     for result in (sinr_coverage(cfg, [gamma], mode="snr"),
-                   snr_coverage_closed_form(cfg, [gamma])):
+                   sinr_coverage(cfg, [gamma], mode="closed24")):
         assert result.probability[0] == pytest.approx(hand, abs=1e-9)
 
 

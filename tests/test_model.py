@@ -13,7 +13,7 @@ from hetnetsim.intensity import state_segments
 from hetnetsim.model import (AntennaPattern, Band, ConfigError, FadingConfig,
                              LinkState, NetworkConfig, cross_gain_pmf,
                              db_to_linear, dbm_to_watts, friis_kappa,
-                             gain_pmf, linear_to_db, network_from_dict,
+                             linear_to_db, network_from_dict,
                              noise_power_w, validate, watts_to_dbm, with_bias,
                              with_density_scale)
 
@@ -56,7 +56,7 @@ def test_los_prob_above_one_rejected():
 def test_gain_pmf_full_main_lobe():
     pat = AntennaPattern(main_gain=10.0, side_gain=0.1,
                          beamwidth_rad=2.0 * math.pi)
-    pmf = gain_pmf(pat)
+    pmf = cross_gain_pmf(pat, pat)
     probs = {g: p for g, p in pmf}
     assert probs[100.0] == pytest.approx(1.0)
     assert sum(p for _, p in pmf) == pytest.approx(1.0)
@@ -64,7 +64,7 @@ def test_gain_pmf_full_main_lobe():
 
 def test_gain_pmf_half_beamwidth():
     pat = AntennaPattern(main_gain=4.0, side_gain=0.5, beamwidth_rad=math.pi)
-    probs = [p for _, p in gain_pmf(pat)]
+    probs = [p for _, p in cross_gain_pmf(pat, pat)]
     assert probs == pytest.approx([0.25, 0.5, 0.25])
 
 
@@ -72,7 +72,7 @@ def test_gain_pmf_table1_values():
     pat = AntennaPattern(main_gain=db_to_linear(10.0),
                          side_gain=db_to_linear(-10.0),
                          beamwidth_rad=math.radians(30.0))
-    pmf = gain_pmf(pat)
+    pmf = cross_gain_pmf(pat, pat)
     probs = [p for _, p in pmf]
     assert probs == pytest.approx([(1 / 12) ** 2, 2 * (1 / 12) * (11 / 12),
                                    (11 / 12) ** 2])
@@ -88,10 +88,27 @@ def test_cross_gain_pmf_normalizes():
     assert sum(p for _, p in pmf) == pytest.approx(1.0)
     # mean gain factorizes over independent ends
     mean = sum(g * p for g, p in pmf)
-    ma = sum(g * p for g, p in gain_pmf(a)) ** 0.5
+    ma = sum(g * p for g, p in cross_gain_pmf(a, a)) ** 0.5
     assert mean == pytest.approx(
         (a.main_gain * a.main_prob + a.side_gain * (1 - a.main_prob))
         * (b.main_gain * b.main_prob + b.side_gain * (1 - b.main_prob)))
+
+
+def test_like_patterns_merge_to_three_atoms():
+    # equal-gain atoms merge in first-seen order, bit for bit the
+    # square/cross/complement pmf of one pattern at both ends
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        side, main = np.sort(rng.uniform(0.01, 100.0, size=2))
+        pat = AntennaPattern(main_gain=float(main), side_gain=float(side),
+                             beamwidth_rad=float(rng.uniform(0.01, 6.28)))
+        q = pat.main_prob
+        assert cross_gain_pmf(pat, pat) == (
+            (main * main, q * q), (main * side, 2.0 * q * (1.0 - q)),
+            (side * side, (1.0 - q) * (1.0 - q)))
+    omni = AntennaPattern(main_gain=1.0, side_gain=1.0, beamwidth_rad=1.0)
+    (gain, prob), = cross_gain_pmf(omni, omni)
+    assert gain == 1.0 and prob == pytest.approx(1.0, abs=1e-15)
 
 
 def test_los_probability_annuli(table1):

@@ -7,12 +7,12 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hetnetsim import association, montecarlo, scenarios
 from hetnetsim.association import association_table
-from hetnetsim.coverage import (coverage_with_beam_error, sinr_coverage,
-                                snr_coverage_closed_form)
+from hetnetsim.coverage import coverage_with_beam_error, sinr_coverage
 from hetnetsim.metrics import energy_efficiency, mean_loads, rate_coverage
 from hetnetsim.model import (ConfigError, db_to_linear, network_from_dict,
                              with_balls, with_bias, with_density_scale)
@@ -367,11 +367,31 @@ def test_sweeps_refuse_configs_they_cannot_validate(tmp_path, experiment,
      "monte_carlo: seed must be an integer, got None"),
     ({"monte_carlo": {"drops": 100, "chunks": True}},
      "monte_carlo: chunks must be an integer, got True"),
+    # grid values of the wrong shape
+    ({"experiment": "BIAS_SWEEP", "grid": {"bias_db": [0.0], "tiers": 2}},
+     "grid.tiers must be a list, got 2"),
+    ({"grid": {"threshold_db": [0.0], "tier_counts": 3}},
+     "grid.tier_counts must be a list, got 3"),
+    ({"experiment": "BALL_PARAMS",
+      "grid": {"threshold_db": [0.0], "variants": [5]}},
+     "grid.variants entries must be objects with name, radii, los_prob, "
+     "got 5"),
+    ({"experiment": "ENERGY",
+      "grid": {"bias_db": [0.0], "variants": [{"density_scale": {}}]}},
+     "grid.variants entries must be objects with name, got"),
 ])
 def test_scenario_integers_of_the_wrong_type_are_refused(tmp_path, change,
                                                          message):
     with pytest.raises(ConfigError, match=message):
         load_scenario(basic_scenario(tmp_path, **change))
+    # a Scenario built in code is refused by run_scenario, before any output
+    if "grid" in change:
+        scn = load_scenario(basic_scenario(tmp_path))
+        scn = replace(scn, experiment=Experiment(
+            change.get("experiment", "SINR_VS_SNR")), grid=change["grid"])
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(scn, output_dir=tmp_path / "never")
+        assert not (tmp_path / "never").exists()
 
 
 def test_only_runs_that_reach_the_kernel_start_a_pool(tmp_path, monkeypatch):
@@ -439,6 +459,32 @@ def test_rate_builds_one_association_table_per_curve(tmp_path, monkeypatch):
         ["x,analytic,quad_error,flag,monte_carlo,mc_stderr"] + mc_rows) + "\n"
 
 
+def test_rate_monte_carlo_reads_the_curve_statistic(tmp_path):
+    body = {"name": "rate", "experiment": "RATE", "config": small_config(2),
+            "grid": {"rate_bps": [5e8, 2e9]},
+            "monte_carlo": {"drops": 2000, "seed": 4, "chunks": 2}}
+    scn = load_scenario(write_scenario(tmp_path, body))
+    cfg, rates = scn.config, body["grid"]["rate_bps"]
+    batch = montecarlo.simulate(cfg, scn.monte_carlo)
+    loads = mean_loads(cfg)
+    live = batch.tier >= 0
+
+    def share(stat):
+        """Share of drops whose rate from `stat` beats each target."""
+        rate = (cfg.bandwidth / loads[batch.tier[live]]) * np.log2(
+            1.0 + stat[live])
+        return [f"{np.count_nonzero(rate > r) / batch.n_drops:.12g}"
+                for r in rates]
+
+    assert share(batch.snr) != share(batch.sinr)
+    for mode, stat in (("sinr", batch.sinr), ("snr", batch.snr),
+                       ("closed24", batch.snr)):
+        run_scenario(replace(scn, mode=mode), output_dir=tmp_path / mode,
+                     workers=1)
+        _, rows = read_csv(tmp_path / mode / "rate_coverage.csv")
+        assert [row[4] for row in rows] == share(stat)
+
+
 def test_coverage_builds_no_association_table(tmp_path, monkeypatch):
     tables = _count_calls(monkeypatch, association, "association_table")
     body = {"name": "gain", "experiment": "GAIN_SWEEP", "mode": "snr",
@@ -501,7 +547,7 @@ def test_closed24_conversion_rules(tmp_path):
     wider = replace(
         cfg, pattern=replace(cfg.pattern, main_gain=db_to_linear(12.0)))
     for row, t in zip(rows_of(gain, "cov_gain12db.csv"), thresholds):
-        want = snr_coverage_closed_form(wider, [db_to_linear(t)])
+        want = sinr_coverage(wider, [db_to_linear(t)], mode="closed24")
         assert row[1:3] == [f"{want.probability[0]:.12g}", "0"]
 
     # the sinr curve of SINR_VS_SNR stays on quadrature
@@ -514,19 +560,27 @@ def test_closed24_conversion_rules(tmp_path):
         assert row[1:3] == [f"{want.probability[0]:.12g}",
                             f"{want.error[0]:.12g}"]
     for row, t in zip(rows_of(both, "snr_tiers1.csv"), thresholds):
-        want = snr_coverage_closed_form(cfg, [db_to_linear(t)])
+        want = sinr_coverage(cfg, [db_to_linear(t)], mode="closed24")
         assert row[1:3] == [f"{want.probability[0]:.12g}", "0"]
 
-    for exp, grid in ((Experiment.RATE, {"rate_bps": [1e8]}),
-                      (Experiment.BEAM_ERROR,
-                       {"threshold_db": [0.0], "sigma_be_deg": [5.0]}),
-                      (Experiment.ENERGY, {"bias_db": [0.0]})):
-        target = tmp_path / exp.value
-        with pytest.raises(ConfigError, match="closed24"):
-            run_scenario(Scenario(name="x", config=cfg, experiment=exp,
-                                  grid=grid, mode="closed24"),
-                         output_dir=target)
-        assert not target.exists()
+    # beam, rate and energy metrics take the closed form too: each cell is
+    # the library's value under mode closed24, with no quadrature error
+    for exp, grid, name, x, want in (
+            (Experiment.BEAM_ERROR,
+             {"threshold_db": [0.0], "sigma_be_deg": [5.0]},
+             "cov_sigma5deg.csv", 0.0,
+             coverage_with_beam_error(cfg, [1.0], math.radians(5.0),
+                                      mode="closed24").probability[0]),
+            (Experiment.RATE, {"rate_bps": [1e8]}, "rate_coverage.csv", 1e8,
+             rate_coverage(cfg, [1e8], mode="closed24").probability[0]),
+            (Experiment.ENERGY, {"bias_db": [0.0]}, "ee_base.csv", 0.0,
+             energy_efficiency(with_bias(cfg, {0: 1.0}), 1.0,
+                               mode="closed24").energy_efficiency)):
+        result = run_scenario(Scenario(name="x", config=cfg, experiment=exp,
+                                       grid=grid, mode="closed24"),
+                              output_dir=tmp_path / exp.value)
+        assert rows_of(result, name) == [[f"{x:.12g}", f"{want:.12g}", "0",
+                                          ""]]
 
 
 def test_hybrid_experiments_require_hybrid_config(tmp_path):
