@@ -67,11 +67,12 @@ def _void_exponent(cfg: NetworkConfig, ratios: np.ndarray):
 
     Every (state, tier, segment) is a row of one stacked array, each
     (state, tier) padded with empty segments to the longest one's segment
-    count, so an evaluation is one numpy pass instead of a lambda_total call
-    per tier.  It keeps lambda_split's arithmetic: the power of each run of
-    rows with one exponent is taken with that scalar exponent, segments are
-    summed within a state in order, then scaled by pi lambda, then LOS +
-    NLOS, then the tiers in order; so the sum is bitwise lambda_total's.
+    count, so an evaluation is one numpy pass over all tiers.  The power of
+    each run of rows with one exponent is taken with that scalar exponent,
+    segments are summed within a state in order, then scaled by pi lambda,
+    then LOS + NLOS, then the tiers in order: the per-tier order of the
+    oracle lambda_total in tests/oracles.py, which the sum must match
+    bitwise.
     """
     segs = [[intensity.state_segments(t, s) for t in cfg.tiers]
             for s in _STATES]
@@ -176,44 +177,4 @@ def association_table(cfg: NetworkConfig, abs_tol: float = ABS_TOL,
             converged = converged and ok
     return AssociationTable(joint=joint, outage=outage_probability(cfg),
                             error=err, converged=converged)
-
-
-def association_closed_form_2tier(cfg: NetworkConfig, k: int) -> float:
-    """Exact 2-tier association probability for single-ball all-LOS tiers.
-
-    Requires exactly two tiers, one ball each, los_prob 1 and alpha_los 2.
-    kappa may differ per tier (it cancels when equal, recovering the familiar
-    biased-received-power form).  The loss integral is then piecewise
-    exponential with at most one saturation knee and integrates in closed form.
-    """
-    if cfg.n_tiers != 2:
-        raise ValueError("closed form requires exactly 2 tiers")
-    for i, t in enumerate(cfg.tiers):
-        if len(t.balls) != 1 or t.balls[0].los_prob != 1.0 or t.balls[0].alpha_los != 2.0:
-            raise ValueError(f"tiers[{i}]: closed form requires one all-LOS ball "
-                             "with alpha_los == 2")
-    j = 1 - k
-    ratios = power_ratios(cfg, k)
-    tk, tj = cfg.tiers[k], cfg.tiers[j]
-    kap_k, kap_j = tk.balls[0].kappa_los, tj.balls[0].kappa_los
-    rk2, rj2 = tk.outage_radius ** 2, tj.outage_radius ** 2
-    # per-unit-loss slopes of the two exponents
-    rho_k = math.pi * tk.density / kap_k
-    rho_j = math.pi * tj.density * ratios[j] / kap_j
-    l_max = kap_k * rk2
-    l_sat = kap_j * rj2 / ratios[j]  # loss beyond which tier j is fully counted
-    share = rho_k / (rho_k + rho_j)
-    if l_max <= l_sat:
-        return share * (1.0 - math.exp(-(rho_k + rho_j) * l_max))
-    head = share * (1.0 - math.exp(-(rho_k + rho_j) * l_sat))
-    tail = math.exp(-math.pi * tj.density * rj2) * (
-        math.exp(-rho_k * l_sat) - math.exp(-rho_k * l_max))
-    return head + tail
-
-
-def association_approx(cfg: NetworkConfig, k: int) -> float:
-    """Large-radius limit: density-and-power weighted share, outage ignored."""
-    pgb = np.array([t.density * t.tx_power * cfg.serving_gain(j) * t.bias
-                    for j, t in enumerate(cfg.tiers)])
-    return float(pgb[k] / pgb.sum())
 

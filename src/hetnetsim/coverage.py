@@ -158,20 +158,6 @@ def _interference_batch(cfg: NetworkConfig, k: int, j: int, s_int: LinkState,
     return out
 
 
-def interference_term(cfg: NetworkConfig, j: int, s_int: LinkState, k: int,
-                      n: int, gamma: float, l: float) -> float:
-    """One tier/state interference exponent at a single serving path loss.
-
-    This is the gain-pmf-weighted integral of psi against tier j's state-s_int
-    path-loss density from the exclusion boundary upward; it appears negated
-    inside the coverage integrand's exponential.
-    """
-    return float(_interference_batch(cfg, k, j, s_int, float(gamma),
-                                     np.array([float(l)]), np.array([int(n)]),
-                                     cfg.serving_gain(k),
-                                     power_ratios(cfg, k)[j])[0, 0])
-
-
 @dataclass(frozen=True)
 class CoverageCurve:
     """Coverage values over a grid, with the per-(tier, state) decomposition."""

@@ -40,19 +40,8 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    """Decibels from a positive power ratio."""
-    if x <= 0:
-        raise ValueError(f"cannot express non-positive ratio {x!r} in dB")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(w: float) -> float:
-    return linear_to_db(w) + 30.0
 
 
 def friis_kappa(carrier_hz: float) -> float:
@@ -330,11 +319,26 @@ def validate(cfg: NetworkConfig) -> NetworkConfig:
     return cfg
 
 
+def _db(d: dict, key: str, where: str, default: float | None = None) -> float:
+    """The decibel field d[key], or default when absent and one is given;
+    refused as written unless its linear value is finite and > 0, since
+    validate sees only the converted value."""
+    written = d[key] if default is None else d.get(key, default)
+    try:
+        ok = 0.0 < 10.0 ** (float(written) / 10.0) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}.{key}: must be a finite dB value with a "
+                          f"finite linear value > 0, got {written!r}")
+    return float(written)
+
+
 def _pattern_from_dict(d: dict, where: str) -> AntennaPattern:
     try:
         return AntennaPattern(
-            main_gain=db_to_linear(float(d["main_db"])),
-            side_gain=db_to_linear(float(d["side_db"])),
+            main_gain=db_to_linear(_db(d, "main_db", where)),
+            side_gain=db_to_linear(_db(d, "side_db", where)),
             beamwidth_rad=math.radians(float(d["beamwidth_deg"])),
         )
     except KeyError as e:
@@ -361,16 +365,16 @@ def network_from_dict(raw: dict) -> NetworkConfig:
             mu_pattern = _pattern_from_dict(raw["mu_antenna"], "mu_antenna")
         tiers = []
         for k, traw in enumerate(raw["tiers"]):
+            where = f"tiers[{k}]"
             band = Band(traw.get("band", "mmwave"))
             tier_carrier = float(traw.get("carrier_hz", carrier))
             tier_bandwidth = float(traw.get("bandwidth_hz", bandwidth))
             kappa_default = friis_kappa(tier_carrier)
             balls = []
             for d, braw in enumerate(traw["balls"]):
-                kl = (db_to_linear(float(braw["kappa_los_db"]))
-                      if "kappa_los_db" in braw else kappa_default)
-                kn = (db_to_linear(float(braw["kappa_nlos_db"]))
-                      if "kappa_nlos_db" in braw else kappa_default)
+                kl, kn = (db_to_linear(_db(braw, key, f"{where}.balls[{d}]"))
+                          if key in braw else kappa_default
+                          for key in ("kappa_los_db", "kappa_nlos_db"))
                 balls.append(BallSpec(
                     radius=float(braw["radius_m"]),
                     los_prob=float(braw["los_prob"]),
@@ -381,12 +385,12 @@ def network_from_dict(raw: dict) -> NetworkConfig:
                 ))
             tiers.append(TierConfig(
                 density=float(traw["density_per_m2"]),
-                tx_power=dbm_to_watts(float(traw["tx_power_dbm"])),
-                bias=db_to_linear(float(traw.get("bias_db", 0.0))),
+                tx_power=dbm_to_watts(_db(traw, "tx_power_dbm", where)),
+                bias=db_to_linear(_db(traw, "bias_db", where, 0.0)),
                 balls=tuple(balls),
                 noise_power=noise_power_w(
-                    tier_bandwidth, float(traw.get("noise_figure_db", 0.0)),
-                    float(traw.get("psd_dbm_hz", NOISE_PSD_DBM_HZ))),
+                    tier_bandwidth, _db(traw, "noise_figure_db", where, 0.0),
+                    _db(traw, "psd_dbm_hz", where, NOISE_PSD_DBM_HZ)),
                 static_power=float(traw.get("static_power_w", 0.0)),
                 amp_slope=float(traw.get("amp_slope", 1.0)),
                 band=band,
@@ -415,7 +419,18 @@ def load_config(path: str) -> NetworkConfig:
     return network_from_dict(raw)
 
 
+def _bundled_raw(name: str) -> dict:
+    """The JSON object of a configuration shipped with the package."""
+    data = resources.files("hetnetsim").joinpath("data")
+    ref = data.joinpath(f"{name}.json")
+    if not ref.is_file():
+        known = sorted(p.name[:-5] for p in data.iterdir()
+                       if p.name.endswith(".json"))
+        raise ConfigError(f"no bundled config {name!r} "
+                          f"(bundled: {', '.join(known)})")
+    return json.loads(ref.read_text())
+
+
 def bundled_config(name: str = "table1") -> NetworkConfig:
     """Load a configuration shipped with the package (table1, hybrid)."""
-    text = resources.files("hetnetsim").joinpath(f"data/{name}.json").read_text()
-    return network_from_dict(json.loads(text))
+    return network_from_dict(_bundled_raw(name))

@@ -34,9 +34,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import association, coverage, metrics, montecarlo
-from .model import (Band, ConfigError, NetworkConfig, db_to_linear,
-                    network_from_dict, validate, with_balls, with_bias,
-                    with_density_scale)
+from .model import (Band, ConfigError, NetworkConfig, _bundled_raw,
+                    db_to_linear, network_from_dict, validate, with_balls,
+                    with_bias, with_density_scale)
 
 _TOLERANCES = {"outer_abs_tol": coverage.OUTER_ABS_TOL,
                "outer_rel_tol": coverage.OUTER_REL_TOL,
@@ -160,10 +160,7 @@ def load_scenario(path: str | Path) -> Scenario:
         config_raw = source
     elif isinstance(source, str) and source.startswith("bundled:"):
         config_path = source
-        from importlib import resources
-        name = source.split(":", 1)[1]
-        ref = resources.files("hetnetsim").joinpath("data", f"{name}.json")
-        config_raw = json.loads(ref.read_text())
+        config_raw = _bundled_raw(source.split(":", 1)[1])
     elif isinstance(source, str):
         config_path = str((path.parent / source).resolve())
         try:

@@ -16,15 +16,15 @@ import pytest
 from conftest import random_network
 from test_association import two_tier
 from hetnetsim import intensity, quadrature
-from hetnetsim.association import (association_approx,
-                                   association_closed_form_2tier,
-                                   association_table)
+from hetnetsim.association import _void_exponent, association_table
 from hetnetsim.coverage import coverage_with_beam_error, psi, sinr_coverage
 from hetnetsim.metrics import energy_efficiency, rate_coverage
 from hetnetsim.model import (AntennaPattern, Band, LinkState, db_to_linear,
                              with_balls, with_bias, with_density_scale)
 from hetnetsim.montecarlo import (SimConfig, empirical_coverage,
                                   empirical_rate_coverage, simulate)
+from oracles import (association_approx, association_closed_form_2tier,
+                     lambda_density, lambda_split)
 
 GRID_DB = (-20.0, -10.0, 0.0, 10.0, 20.0)
 
@@ -251,23 +251,25 @@ def test_criterion_13_property_suite_on_random_configs():
             assert all(p >= 0.0 for _, p in pmf)
             assert sum(p for _, p in pmf) == pytest.approx(1.0, abs=1e-12)
 
-            x_hi = max(intensity.max_loss(tier, LinkState.LOS),
-                       intensity.max_loss(tier, LinkState.NLOS))
+            # the measure as the library evaluates it: the void exponent
+            # of this tier alone at ratio 1
+            measure = _void_exponent(cfg.subset([k]), np.ones(1))
+            x_hi = max(s.hi_x for state in (LinkState.LOS, LinkState.NLOS)
+                       for s in intensity.state_segments(tier, state))
             xs = rng.uniform(0.0, 1.1 * x_hi, size=4)
-            split = intensity.lambda_split(tier, LinkState.LOS, xs) \
-                + intensity.lambda_split(tier, LinkState.NLOS, xs)
-            total = intensity.lambda_total(tier, xs)
+            split = lambda_split(tier, LinkState.LOS, xs) \
+                + lambda_split(tier, LinkState.NLOS, xs)
+            total = measure(xs)
             assert np.allclose(split, total, rtol=1e-12, atol=1e-15)
 
             x_top = float(xs.max())
             if x_top > 0.0:
                 res = quadrature.integrate(
-                    lambda t: (intensity.lambda_density(tier, LinkState.LOS, t)
-                               + intensity.lambda_density(
-                                   tier, LinkState.NLOS, t)),
+                    lambda t: (lambda_density(tier, LinkState.LOS, t)
+                               + lambda_density(tier, LinkState.NLOS, t)),
                     (0.0, x_top), intensity.breakpoints(tier),
                     abs_tol=1e-13, rel_tol=1e-11)
-                want = float(intensity.lambda_total(tier, x_top))
+                want = float(measure(np.array([x_top]))[0])
                 assert res.value == pytest.approx(
                     want, rel=1e-8, abs=1e-8 * max(want, 1e-6))
 
@@ -278,10 +280,10 @@ def test_criterion_13_property_suite_on_random_configs():
             j = int(np.argmax(gaps))
             mid, h = 0.5 * (bps[j] + bps[j + 1]), gaps[j] * 1e-5
             if h > 0.0:
-                fd = (intensity.lambda_total(tier, mid + h)
-                      - intensity.lambda_total(tier, mid - h)) / (2.0 * h)
-                dens = intensity.lambda_density(tier, LinkState.LOS, mid) \
-                    + intensity.lambda_density(tier, LinkState.NLOS, mid)
+                below, above = measure(np.array([mid - h, mid + h]))
+                fd = (above - below) / (2.0 * h)
+                dens = lambda_density(tier, LinkState.LOS, mid) \
+                    + lambda_density(tier, LinkState.NLOS, mid)
                 assert fd == pytest.approx(dens, rel=1e-6,
                                            abs=1e-12 * max(1.0, dens))
     _report(13, True, f"intensity additivity, measure/density consistency, "

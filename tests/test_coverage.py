@@ -16,11 +16,12 @@ from conftest import make_network, make_tier, random_network
 from hetnetsim import association, coverage, intensity
 from hetnetsim.association import association_table, power_ratios
 from hetnetsim.coverage import (alignment_probability,
-                                coverage_with_beam_error, eta,
-                                interference_term, psi, sinr_coverage)
+                                coverage_with_beam_error, eta, psi,
+                                sinr_coverage)
 from hetnetsim.model import (AntennaPattern, Band, FadingConfig, LinkState,
                              db_to_linear, with_bias)
 from hetnetsim.montecarlo import SimConfig, empirical_coverage, simulate
+from oracles import interference_term, lambda_density, lambda_total
 
 
 def test_psi_values():
@@ -215,15 +216,16 @@ def test_rayleigh_single_term_against_reference(table1):
                 flat = l.ravel()
                 expo = -a1 * flat
                 for j, other in enumerate(cfg.tiers):
-                    expo -= intensity.lambda_total(other, ratios[j] * flat)
+                    expo -= lambda_total(other, ratios[j] * flat)
                     for s2 in (LinkState.LOS, LinkState.NLOS):
                         expo -= coverage._interference_batch(
                             cfg, k, j, s2, gamma, flat, np.array([1]), g0,
                             ratios[j])[0]
-                dens = intensity.lambda_density(tier, state, flat)
+                dens = lambda_density(tier, state, flat)
                 return (dens * np.exp(expo)).reshape(l.shape)
 
-            hi = intensity.max_loss(tier, state)
+            hi = max((s.hi_x for s in intensity.state_segments(tier, state)),
+                     default=0.0)
             if hi == 0.0:
                 continue
             # every kink of the density, the void and the exclusion zones

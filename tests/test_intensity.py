@@ -12,10 +12,15 @@ import pytest
 
 from conftest import make_network, make_tier, random_network
 from hetnetsim import quadrature
-from hetnetsim.intensity import (breakpoints, lambda_density, lambda_split,
-                                 lambda_total, max_loss, state_segments,
-                                 total_mass)
+from hetnetsim.association import _void_exponent
+from hetnetsim.intensity import breakpoints, state_segments, total_mass
 from hetnetsim.model import LinkState
+from oracles import lambda_density, lambda_split
+
+
+def _measure(tier, xs):
+    """Lambda_k([0, x)) as the library evaluates it, bitwise lambda_total."""
+    return _void_exponent(make_network([tier]), np.ones(1))(np.array(xs))
 
 
 def _count_below(tier, x_grid, n_real, rng, state=None):
@@ -54,7 +59,7 @@ def test_single_ball_hand_value_and_counting_oracle():
     # measure is pi * 1e-4 * 900 because (x/kappa)^(2/alpha) = 900 < R^2
     tier = make_tier(density=1e-4, radii=(50.0,), betas=(1.0,),
                      alpha_los=2.0, kappa_los=1.0)
-    value = lambda_total(tier, 900.0)
+    value = _measure(tier, [900.0])[0]
     assert value == pytest.approx(math.pi * 1e-4 * 900.0, rel=1e-12)
 
     rng = np.random.default_rng(1234)
@@ -80,34 +85,19 @@ def test_split_saturation_matches_state_counting(table1):
 
 def test_all_los_has_no_nlos_mass():
     tier = make_tier(radii=(30.0, 80.0), betas=(1.0, 1.0))
-    for x in (0.0, 10.0, 1e4, 1e12):
-        assert lambda_split(tier, LinkState.NLOS, x) == 0.0
+    assert state_segments(tier, LinkState.NLOS) == ()
     tier0 = make_tier(radii=(30.0, 80.0), betas=(0.0, 0.0))
-    for x in (10.0, 1e6):
-        assert lambda_split(tier0, LinkState.LOS, x) == 0.0
+    assert state_segments(tier0, LinkState.LOS) == ()
 
 
 def test_measure_limits(table1):
     for tier in table1.tiers:
-        assert lambda_total(tier, 0.0) == 0.0
-        assert lambda_total(tier, 1e300) == pytest.approx(
+        empty, full = _measure(tier, [0.0, 1e300])
+        assert empty == 0.0
+        assert full == pytest.approx(
             math.pi * tier.density * tier.outage_radius ** 2, rel=1e-12)
         assert total_mass(tier) == pytest.approx(
             math.pi * tier.density * tier.outage_radius ** 2)
-
-
-def test_additivity_random_configs():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        cfg = random_network(rng)
-        tier = cfg.tiers[0]
-        xs = np.geomspace(1e-3, 2.0 * max(
-            max_loss(tier, LinkState.LOS), max_loss(tier, LinkState.NLOS),
-            1.0), 50)
-        los = lambda_split(tier, LinkState.LOS, xs)
-        nlos = lambda_split(tier, LinkState.NLOS, xs)
-        tot = lambda_total(tier, xs)
-        assert np.allclose(los + nlos, tot, rtol=0.0, atol=1e-12)
 
 
 def test_density_flat_for_single_unit_ball():
@@ -125,7 +115,8 @@ def test_density_compact_support():
         cfg = random_network(rng)
         tier = cfg.tiers[0]
         for state in (LinkState.LOS, LinkState.NLOS):
-            hi = max_loss(tier, state)
+            hi = max((s.hi_x for s in state_segments(tier, state)),
+                     default=0.0)
             if hi == 0.0:
                 continue
             assert lambda_density(tier, state, hi * 1.0001) == 0.0
@@ -159,7 +150,8 @@ def test_density_integrates_to_measure():
         cfg = random_network(rng)
         tier = cfg.tiers[0]
         for state in (LinkState.LOS, LinkState.NLOS):
-            hi = max_loss(tier, state)
+            hi = max((s.hi_x for s in state_segments(tier, state)),
+                     default=0.0)
             if hi == 0.0:
                 continue
             x = 0.73 * hi

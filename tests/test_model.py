@@ -13,16 +13,13 @@ from hetnetsim.intensity import state_segments
 from hetnetsim.model import (AntennaPattern, Band, ConfigError, FadingConfig,
                              LinkState, NetworkConfig, cross_gain_pmf,
                              db_to_linear, dbm_to_watts, friis_kappa,
-                             linear_to_db, network_from_dict,
-                             noise_power_w, validate, watts_to_dbm, with_bias,
-                             with_density_scale)
+                             network_from_dict, noise_power_w, validate,
+                             with_bias, with_density_scale)
 
 
 def test_db_roundtrip():
     assert db_to_linear(10.0) == pytest.approx(10.0)
-    assert linear_to_db(db_to_linear(-7.3)) == pytest.approx(-7.3)
     assert dbm_to_watts(30.0) == pytest.approx(1.0)
-    assert watts_to_dbm(dbm_to_watts(53.0)) == pytest.approx(53.0)
 
 
 def test_friis_kappa_28ghz():
@@ -33,8 +30,9 @@ def test_friis_kappa_28ghz():
 
 def test_noise_power():
     # -174 dBm/Hz + 10 log10(1 GHz) + 10 dB figure = -74 dBm
-    assert watts_to_dbm(noise_power_w(1e9, noise_figure_db=10.0)) == \
-        pytest.approx(-74.0, abs=1e-9)
+    # rel 2.3e-10 is 1e-9 dB
+    assert noise_power_w(1e9, noise_figure_db=10.0) == \
+        pytest.approx(dbm_to_watts(-74.0), rel=2.3e-10)
 
 
 def test_table1_accepted(table1):
@@ -197,6 +195,14 @@ def test_pattern_swap_updates_serving_gain(table1):
         [pat.main_gain * pat.main_gain] * 3
 
 
+_DB_FIELDS = [
+    ("tiers", 0, "tx_power_dbm"), ("tiers", 1, "bias_db"),
+    ("tiers", 2, "noise_figure_db"), ("tiers", 0, "psd_dbm_hz"),
+    ("tiers", 0, "balls", 1, "kappa_los_db"),
+    ("tiers", 1, "balls", 0, "kappa_nlos_db"),
+    ("antenna", "main_db"), ("antenna", "side_db")]
+
+
 @pytest.mark.parametrize("path, value", [
     (("tiers", 0, "density_per_m2"), math.nan),
     (("tiers", 1, "bias_db"), math.inf),
@@ -205,7 +211,8 @@ def test_pattern_swap_updates_serving_gain(table1):
     (("tiers", 0, "balls", 1, "radius_m"), math.inf),
     (("tiers", 0, "balls", 0, "alpha_nlos"), math.nan),
     (("carrier_hz",), math.nan),
-])
+] + [(path, value) for path in _DB_FIELDS
+     for value in (-math.inf, math.nan, 4000.0)])
 def test_validate_refuses_non_finite_numbers(path, value):
     raw = json.loads(resources.files("hetnetsim").joinpath(
         "data", "table1.json").read_text())
@@ -215,8 +222,14 @@ def test_validate_refuses_non_finite_numbers(path, value):
     node[path[-1]] = value
     with pytest.raises(ConfigError) as err:
         network_from_dict(raw)
-    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
-    assert name.lstrip(".") in str(err.value)
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path).lstrip(".")
+    assert name in str(err.value)
+    # a dB field is refused as written: converted, -inf dB reads 0 and
+    # 4000 dB overflows
+    if path[-1] in {p[-1] for p in _DB_FIELDS}:
+        assert str(err.value) == (f"{name}: must be a finite dB value with a "
+                                  f"finite linear value > 0, got {value!r}")
 
 
 def test_sweep_builders_validate(table1):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import make_network, make_tier
-from hetnetsim import intensity
 from hetnetsim.coverage import sinr_coverage
 from hetnetsim.montecarlo import (DropBatch, SimConfig, drop_rates,
                                   empirical_association, empirical_coverage,
                                   simulate)
+from oracles import lambda_total
 
 
 def batches_equal(a: DropBatch, b: DropBatch) -> bool:
@@ -63,7 +63,7 @@ def test_min_path_loss_ccdf_matches_intensity():
     batch = simulate(cfg, sim, workers=4)
     for x in (400.0, 2500.0, 8100.0):
         emp = np.count_nonzero(batch.path_loss > x) / batch.n_drops
-        want = math.exp(-intensity.lambda_total(tier, x))
+        want = math.exp(-lambda_total(tier, x))
         se = math.sqrt(want * (1.0 - want) / batch.n_drops)
         assert emp == pytest.approx(want, abs=3.0 * se)
 

@@ -14,8 +14,9 @@ from hetnetsim import association, montecarlo, scenarios
 from hetnetsim.association import association_table
 from hetnetsim.coverage import coverage_with_beam_error, sinr_coverage
 from hetnetsim.metrics import energy_efficiency, mean_loads, rate_coverage
-from hetnetsim.model import (ConfigError, db_to_linear, network_from_dict,
-                             with_balls, with_bias, with_density_scale)
+from hetnetsim.model import (ConfigError, bundled_config, db_to_linear,
+                             network_from_dict, with_balls, with_bias,
+                             with_density_scale)
 from hetnetsim.scenarios import (Experiment, Scenario, _tag, load_scenario,
                                  run_scenario)
 
@@ -75,6 +76,11 @@ def test_load_scenario_inline_config(tmp_path):
 def test_load_scenario_bundled_and_relative(tmp_path):
     scn = load_scenario(basic_scenario(tmp_path, config="bundled:table1"))
     assert scn.config.n_tiers == 3
+    for load in (lambda: bundled_config("nope"), lambda: load_scenario(
+            basic_scenario(tmp_path, config="bundled:nope"))):
+        with pytest.raises(ConfigError, match=r"no bundled config 'nope' "
+                           r"\(bundled: hybrid, table1\)"):
+            load()
     cfg_path = tmp_path / "net.json"
     cfg_path.write_text(json.dumps(small_config()))
     scn = load_scenario(basic_scenario(tmp_path, config="net.json"))
