@@ -5,8 +5,8 @@ Subcommands:
   hetnet validate <config.json>   check a network config, report problems
   hetnet mc <config.json>         run the drop simulator, print a summary
 
-Exit codes: 0 success, 1 config or IO error, 2 numerical failure (some
-analytic points did not converge; their rows are flagged in the CSV).
+Exit codes: 0 success, 1 usage, config or IO error, 2 numerical failure
+(some analytic points did not converge; their rows are flagged in the CSV).
 """
 
 from __future__ import annotations
@@ -28,8 +28,16 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hetnet",
         description="Coverage, rate and energy analysis for multi-tier "
                     "millimeter-wave networks.")
@@ -41,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: scenario output_dir)")
     run.add_argument("--workers", type=int, default=None,
                      help="process pool size for grid points")
-    run.add_argument("--mode", choices=("sinr", "snr", "closed24"),
+    run.add_argument("--mode", choices=("sinr", "snr"),
                      default=None, help="override the scenario mode")
 
     val = sub.add_parser("validate", help="check a network config file")
@@ -89,16 +97,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trace_rows(batch: montecarlo.DropBatch, rates: np.ndarray):
-    state_names = {0: "los", 1: "nlos", -1: "outage"}
-    with np.errstate(divide="ignore"):
-        sinr_db = 10.0 * np.log10(batch.sinr)
-        snr_db = 10.0 * np.log10(batch.snr)
-    for i in range(batch.n_drops):
-        yield (i, int(batch.tier[i]), state_names[int(batch.state[i])],
-               batch.path_loss[i], sinr_db[i], snr_db[i], rates[i])
-
-
 def _cmd_mc(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     sim = montecarlo.SimConfig(drops=args.drops, seed=args.seed,
@@ -115,13 +113,17 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     rates = montecarlo.drop_rates(cfg, batch, metrics.mean_loads(cfg))
 
     if args.trace:
-        path = Path(args.trace)
-        lines = ["drop_id,tier,state,path_loss,sinr_db,snr_db,rate_bps"]
-        for row in _trace_rows(batch, rates):
-            lines.append(",".join(
-                [str(row[0]), str(row[1]), row[2]] +
-                [f"{v:.9g}" for v in row[3:]]))
-        path.write_text("\n".join(lines) + "\n")
+        with np.errstate(divide="ignore"):
+            sinr_db = 10.0 * np.log10(batch.sinr)
+            snr_db = 10.0 * np.log10(batch.snr)
+        # state -1 (outage) indexes the last name
+        states = np.array(["los", "nlos", "outage"])[batch.state]
+        row = "{},{},{},{:.9g},{:.9g},{:.9g},{:.9g}\n".format
+        Path(args.trace).write_text(
+            "drop_id,tier,state,path_loss,sinr_db,snr_db,rate_bps\n"
+            + "".join(map(row, range(batch.n_drops), batch.tier.tolist(),
+                          states.tolist(), batch.path_loss.tolist(),
+                          sinr_db.tolist(), snr_db.tolist(), rates.tolist())))
 
     print(f"drops,{sim.drops}")
     print(f"seed,{sim.seed}")

@@ -11,8 +11,8 @@ a finite n-sum of exponentials.
 Integrals are computed in the squared-radius variable per blockage annulus,
 which makes the serving density constant and every integrand analytic.  The
 interference exponents are exact there; only the serving-loss integral is
-adaptive.  Mode "closed24" is noise-limited coverage for exponents (2, 4)
-with no quadrature at all: each (tier, state) term is in error functions.
+adaptive.  Noise-limited coverage needs no quadrature at all when every
+exponent is 2 or 4: each (tier, state) term is then in error functions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.special import erf, erfcx, hyp2f1
@@ -230,20 +229,14 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *,
 
     thresholds are linear; pass an (n, K) array for per-tier values (rate
     coverage and beam error do).  mode "sinr" includes same-band
-    interference, "snr" drops it, and "closed24" is "snr" in closed form,
-    which needs alpha_los 2 and alpha_nlos 4 on every ball.
+    interference and "snr" drops it; SNR coverage is in closed form, with
+    zero error, when every active segment has exponent 2 or 4.
     """
-    if mode not in ("sinr", "snr", "closed24"):
-        raise ValueError(f"mode must be sinr, snr or closed24, got {mode!r}")
-    term = _term
-    if mode == "closed24":
-        term = _closed_term
-        for i, t in enumerate(cfg.tiers):
-            for dd, ball in enumerate(t.balls):
-                if ball.alpha_los != 2.0 or ball.alpha_nlos != 4.0:
-                    raise ValueError(
-                        f"tiers[{i}].balls[{dd}]: closed form requires "
-                        "alpha_los 2 and alpha_nlos 4")
+    if mode not in ("sinr", "snr"):
+        raise ValueError(f"mode must be sinr or snr, got {mode!r}")
+    closed = mode == "snr" and all(
+        s.alpha in (2.0, 4.0) for t in cfg.tiers for state in _STATES
+        for s in intensity.state_segments(t, state))
     grid = _normalize_thresholds(cfg, thresholds)
     n_pts = grid.shape[0]
     joint = np.zeros((n_pts, cfg.n_tiers, 2))
@@ -253,7 +246,9 @@ def sinr_coverage(cfg: NetworkConfig, thresholds, *,
         for k in range(cfg.n_tiers):
             ratios = power_ratios(cfg, k)
             for col, state in enumerate(_STATES):
-                v, e, ok = term(cfg, k, state, grid[i, k], mode, ratios)
+                v, e, ok = (_closed_term(cfg, k, state, grid[i, k], ratios)
+                            if closed else
+                            _term(cfg, k, state, grid[i, k], mode, ratios))
                 joint[i, k, col] = v
                 errs[i] += e
                 conv[i] = conv[i] and ok
@@ -282,7 +277,7 @@ def _quadratic_pieces(cfg: NetworkConfig, ratios: np.ndarray, x_lo: float,
                       x_hi: float):
     """Piecewise (b, c, d) with sum_j Lambda_j(ratios_j x^2) = b x^2 + c x + d.
 
-    Exact when every ball has alpha_los 2 and alpha_nlos 4.  Yields
+    Exact when every active segment has exponent 2 or 4.  Yields
     (x0, x1, b, c, d) sub-segments covering [x_lo, x_hi].
     """
     cuts = {x_lo, x_hi}
@@ -312,12 +307,12 @@ def _quadratic_pieces(cfg: NetworkConfig, ratios: np.ndarray, x_lo: float,
 
 
 def _closed_term(cfg: NetworkConfig, k: int, state: LinkState,
-                 gamma_k: float, mode: str, ratios: np.ndarray):
-    """_term's noise-limited mass in closed form, for alpha pairs (2, 4).
+                 gamma_k: float, ratios: np.ndarray):
+    """_term's noise-limited mass in closed form, for exponents 2 and 4.
 
-    It takes _term's arguments and returns (value, 0.0, True).  In the
-    x = sqrt(path loss) variable every exponent is piecewise quadratic, so
-    each serving annulus reduces to error-function segments; no quadrature.
+    It takes _term's arguments less the mode and returns (value, 0.0, True).
+    In the x = sqrt(path loss) variable every exponent is piecewise quadratic,
+    so each serving annulus reduces to error-function segments; no quadrature.
     """
     tier = cfg.tiers[k]
     n_serv = cfg.fading.n(state)

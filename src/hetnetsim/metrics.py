@@ -8,7 +8,6 @@ conditional coverage by density and the linear amplifier power model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Sequence
 

@@ -40,7 +40,8 @@ from .model import (Band, ConfigError, NetworkConfig, _bundled_raw,
 
 _TOLERANCES = {"outer_abs_tol": coverage.OUTER_ABS_TOL,
                "outer_rel_tol": coverage.OUTER_REL_TOL,
-               "assoc_abs_tol": association.ABS_TOL}
+               "assoc_abs_tol": association.ABS_TOL,
+               "assoc_rel_tol": association.REL_TOL}
 
 _SCENARIO_KEYS = ("name", "experiment", "config", "grid", "mode",
                   "monte_carlo", "output_dir", "workers")
@@ -190,7 +191,7 @@ def load_scenario(path: str | Path) -> Scenario:
         except ValueError as exc:
             raise ConfigError(f"monte_carlo: {exc}") from exc
     mode = str(raw.get("mode", "sinr"))
-    if mode not in ("sinr", "snr", "closed24"):
+    if mode not in ("sinr", "snr"):
         raise ConfigError(f"unknown mode '{mode}'")
     return Scenario(name=str(raw["name"]), config=cfg, experiment=experiment,
                     grid=grid, mode=mode, monte_carlo=mc,
@@ -208,7 +209,7 @@ class _Metric:
     """What every point of one curve computes, in sinr_coverage's modes."""
 
     kind: str                 # coverage, beam, rate, ee or assoc
-    mode: str                 # sinr, snr or closed24 (Monte Carlo: snr)
+    mode: str                 # sinr or snr
     sigma: float = 0.0        # beam pointing error, radians
 
 
@@ -270,18 +271,17 @@ def _mc_estimate(curve: _Curve, cfg: NetworkConfig, x: float, arg: Any,
 
     An association point reads its curve's tier share, a rate point the
     rate itself, the CSV x, under the curve's mean loads, and every other
-    point its threshold.  Both read the SINR or, under modes snr and
-    closed24, the SNR.
+    point its threshold.  Both read the statistic of the curve's mode.
     """
     if curve.metric.kind == "assoc":
         share, se = montecarlo.empirical_tier_share(cfg, batch)
         return share[curve.tier], se[curve.tier]
-    stat = "sinr" if curve.metric.mode == "sinr" else "snr"
     if curve.metric.kind == "rate":
         probs, ses = montecarlo.empirical_rate_coverage(
-            cfg, batch, [x], curve.loads, mode=stat)
+            cfg, batch, [x], curve.loads, mode=curve.metric.mode)
     else:
-        probs, ses = montecarlo.empirical_coverage(batch, [arg], mode=stat)
+        probs, ses = montecarlo.empirical_coverage(batch, [arg],
+                                                   mode=curve.metric.mode)
     return probs[0], ses[0]
 
 
@@ -343,12 +343,10 @@ def _assoc_curves(scn: Scenario, suffix: str) -> list[tuple]:
 def _sinr_vs_snr(scn: Scenario) -> list[_Curve]:
     counts = [_as_int("grid.tier_counts", n) for n in scn.grid.get(
         "tier_counts", range(1, scn.config.n_tiers + 1))]
-    # closed24 puts the snr curves in closed form; sinr stays on quadrature
-    snr = "closed24" if scn.mode == "closed24" else "snr"
     return _threshold_curves(scn, [
-        (f"{name}_tiers{n}.csv", scn.config.subset(tuple(range(n))),
+        (f"{mode}_tiers{n}.csv", scn.config.subset(tuple(range(n))),
          _metric(scn, "coverage", mode))
-        for n in counts for name, mode in (("sinr", "sinr"), ("snr", snr))])
+        for n in counts for mode in ("sinr", "snr")])
 
 
 def _swept(scn: Scenario, key: str, build: Callable) -> list[tuple]:

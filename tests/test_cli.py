@@ -4,9 +4,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hetnetsim import cli, montecarlo, scenarios
+from hetnetsim import cli, metrics, montecarlo, scenarios
 from hetnetsim.model import load_config
 from test_scenarios import basic_scenario, small_config, write_scenario
 
@@ -65,16 +66,30 @@ def test_run_bad_scenario_exits_one(tmp_path, capsys):
 
 
 def test_run_mode_override_conflicts_exit_one(tmp_path, capsys):
-    # the closed form needs path-loss exponents (2, 4) on every ball
-    config = small_config()
-    config["tiers"][0]["balls"][0]["alpha_nlos"] = 3.5
-    body = {"name": "r", "experiment": "RATE", "config": config,
+    # closed24 is no mode, even on a config with exponents (2, 4): SNR mode
+    # takes the closed form wherever it is exact
+    body = {"name": "r", "experiment": "RATE", "config": small_config(),
             "grid": {"rate_bps": [1e8]}}
     scn = write_scenario(tmp_path, body)
-    assert cli.main(["run", str(scn), "--mode", "closed24",
-                     "--out", str(tmp_path / "never")]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(scn), "--mode", "closed24",
+                  "--out", str(tmp_path / "never")])
+    assert exc.value.code == 1
     assert not (tmp_path / "never").exists()
-    assert "closed form requires" in capsys.readouterr().err
+    assert "invalid choice: 'closed24'" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_one(capsys):
+    # exit 2 means a numerical failure, so a usage error must not read as one
+    for argv in (["run", "x.json", "--mode", "bogus"], ["mc"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "usage: hetnet" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
 
 
 def test_run_flags_nonconvergence_exit_two(tmp_path, capsys, monkeypatch):
@@ -106,12 +121,23 @@ def test_mc_summary_and_trace(config_file, tmp_path, capsys):
     assert "coverage_sinr_-10dB" in lines and "coverage_sinr_0dB" in lines
     assert float(lines["mean_rate_bps"].split(",")[0]) > 0.0
 
-    rows = trace.read_text().strip().split("\n")
-    assert rows[0] == "drop_id,tier,state,path_loss,sinr_db,snr_db,rate_bps"
-    assert len(rows) == 501
-    first = rows[1].split(",")
-    assert first[0] == "0"
-    assert first[2] in ("los", "nlos", "outage")
+    # the trace holds each drop's fields as per-field f-strings print them,
+    # outage drops (inf loss, -inf dB) included
+    cfg = load_config(config_file)
+    batch = montecarlo.simulate(cfg, montecarlo.SimConfig(
+        drops=500, seed=3, parallel_chunks=4))
+    rates = montecarlo.drop_rates(cfg, batch, metrics.mean_loads(cfg))
+    names = {0: "los", 1: "nlos", -1: "outage"}
+    with np.errstate(divide="ignore"):
+        sinr_db = 10.0 * np.log10(batch.sinr)
+        snr_db = 10.0 * np.log10(batch.snr)
+    rows = ["drop_id,tier,state,path_loss,sinr_db,snr_db,rate_bps"] + [
+        ",".join([str(i), str(int(batch.tier[i])), names[int(batch.state[i])]]
+                 + [f"{v:.9g}" for v in (batch.path_loss[i], sinr_db[i],
+                                         snr_db[i], rates[i])])
+        for i in range(batch.n_drops)]
+    assert any(",outage,inf,-inf,-inf," in row for row in rows)
+    assert trace.read_text() == "\n".join(rows) + "\n"
 
 
 def test_mc_determinism(config_file, capsys):

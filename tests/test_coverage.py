@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy.special import exprel
 
-from conftest import make_network, make_tier, random_network
-from hetnetsim import association, coverage, intensity
+from conftest import make_network, make_tier
+from hetnetsim import coverage, intensity
 from hetnetsim.association import association_table, power_ratios
 from hetnetsim.coverage import (alignment_probability,
                                 coverage_with_beam_error, eta, psi,
                                 sinr_coverage)
 from hetnetsim.model import (AntennaPattern, Band, FadingConfig, LinkState,
-                             db_to_linear, with_bias)
+                             db_to_linear)
 from hetnetsim.montecarlo import SimConfig, empirical_coverage, simulate
-from oracles import interference_term, lambda_density, lambda_total
+from oracles import (interference_term, lambda_density, lambda_total,
+                     quadrature_coverage)
 
 
 def test_psi_values():
@@ -263,17 +264,33 @@ def test_noise_free_snr_is_association_mass(table1):
 
 def test_closed_form_matches_quadrature(table1):
     gammas = np.array([db_to_linear(x) for x in np.linspace(-25.0, 25.0, 11)])
-    quad = sinr_coverage(table1, gammas, mode="snr")
-    closed = sinr_coverage(table1, gammas, mode="closed24")
-    assert np.abs(quad.probability - closed.probability).max() <= 1e-4
+    quad, _, _ = quadrature_coverage(table1, gammas)
+    closed = sinr_coverage(table1, gammas, mode="snr")
+    assert np.abs(quad - closed.probability).max() <= 1e-4
     assert closed.converged.all()
 
 
-def test_closed_form_rejects_other_exponents():
-    tier = make_tier(alpha_los=2.5)
-    cfg = make_network([tier])
-    with pytest.raises(ValueError):
-        sinr_coverage(cfg, [1.0], mode="closed24")
+def test_snr_mode_selects_closed_form_by_exponents(table1, hybrid):
+    # exponents 2 and 4 only: the closed form, with zero error, agrees with
+    # quadrature within quadrature's own error
+    gammas = [db_to_linear(x) for x in np.linspace(-20.0, 30.0, 6)]
+    for base in (table1, hybrid):
+        for a_los, a_nlos in itertools.product((2.0, 4.0), repeat=2):
+            cfg = replace(base, tiers=tuple(replace(t, balls=tuple(
+                replace(b, alpha_los=a_los, alpha_nlos=a_nlos)
+                for b in t.balls)) for t in base.tiers))
+            closed = sinr_coverage(cfg, gammas, mode="snr")
+            quad, err, _ = quadrature_coverage(cfg, gammas)
+            assert (closed.error == 0.0).all() and closed.converged.all()
+            assert (np.abs(closed.probability - quad) <= err + 1e-15).all()
+    # any other exponent: quadrature, bit for bit
+    cfg = make_network([make_tier(alpha_los=2.5)])
+    curve = sinr_coverage(cfg, gammas, mode="snr")
+    quad, err, _ = quadrature_coverage(cfg, gammas)
+    assert np.array_equal(curve.probability, quad)
+    assert np.array_equal(curve.error, err) and (err > 0.0).any()
+    with pytest.raises(ValueError, match="sinr or snr"):
+        sinr_coverage(cfg, gammas, mode="closed24")
 
 
 def test_single_tier_hand_gaussian_formula():
@@ -294,9 +311,9 @@ def test_single_tier_hand_gaussian_formula():
         coef = (-1.0) ** (n + 1) * math.comb(n_fad, n)
         p = n * a1 + rho
         hand += coef * rho / p * (1.0 - math.exp(-p * l_max))
-    for result in (sinr_coverage(cfg, [gamma], mode="snr"),
-                   sinr_coverage(cfg, [gamma], mode="closed24")):
-        assert result.probability[0] == pytest.approx(hand, abs=1e-9)
+    for value in (sinr_coverage(cfg, [gamma], mode="snr").probability[0],
+                  quadrature_coverage(cfg, [gamma])[0][0]):
+        assert value == pytest.approx(hand, abs=1e-9)
 
 
 def test_threshold_shapes(table1):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hetnetsim import association, montecarlo, scenarios
+from hetnetsim import association, coverage, montecarlo, scenarios
 from hetnetsim.association import association_table
 from hetnetsim.coverage import coverage_with_beam_error, sinr_coverage
 from hetnetsim.metrics import energy_efficiency, mean_loads, rate_coverage
@@ -100,6 +100,8 @@ def test_load_scenario_rejects_malformed(tmp_path):
         {"name": "x", "experiment": "SINR_VS_SNR", "config": small_config(),
          "grid": {"threshold_db": [0]}, "mode": "psychic"},
         {"name": "x", "experiment": "SINR_VS_SNR", "config": small_config(),
+         "grid": {"threshold_db": [0]}, "mode": "closed24"},
+        {"name": "x", "experiment": "SINR_VS_SNR", "config": small_config(),
          "grid": {"threshold_db": [0]}, "exclusion_zone": "none"},
         {"name": "x", "experiment": "SINR_VS_SNR", "config": 7,
          "grid": {"threshold_db": [0]}},
@@ -134,6 +136,11 @@ def test_run_scenario_outputs_and_determinism(tmp_path):
     assert m1 == m2
     assert m1["files"] == list(out1.files)
     assert len(m1["config_sha256"]) == 64
+    assert m1["tolerances"] == {
+        "outer_abs_tol": coverage.OUTER_ABS_TOL,
+        "outer_rel_tol": coverage.OUTER_REL_TOL,
+        "assoc_abs_tol": association.ABS_TOL,
+        "assoc_rel_tol": association.REL_TOL}
 
     header, rows = read_csv(tmp_path / "run1" / "sinr_tiers1.csv")
     assert header == ["x", "analytic", "quad_error", "flag",
@@ -483,8 +490,7 @@ def test_rate_monte_carlo_reads_the_curve_statistic(tmp_path):
                 for r in rates]
 
     assert share(batch.snr) != share(batch.sinr)
-    for mode, stat in (("sinr", batch.sinr), ("snr", batch.snr),
-                       ("closed24", batch.snr)):
+    for mode, stat in (("sinr", batch.sinr), ("snr", batch.snr)):
         run_scenario(replace(scn, mode=mode), output_dir=tmp_path / mode,
                      workers=1)
         _, rows = read_csv(tmp_path / mode / "rate_coverage.csv")
@@ -539,7 +545,9 @@ def test_load_scenario_accepts_bundled_files():
             assert load_scenario(path).name == name[:-len(".json")]
 
 
-def test_closed24_conversion_rules(tmp_path):
+def test_snr_mode_takes_closed_form_in_every_experiment(tmp_path):
+    # small_config has exponents (2, 4), so every SNR-mode cell is in
+    # closed form and has quad_error 0
     cfg = network_from_dict(small_config())
     thresholds = [-5.0, 5.0]
 
@@ -549,41 +557,42 @@ def test_closed24_conversion_rules(tmp_path):
     gain = run_scenario(Scenario(
         name="g", config=cfg, experiment=Experiment.GAIN_SWEEP,
         grid={"threshold_db": thresholds, "main_gain_db": [12.0]},
-        mode="closed24"), output_dir=tmp_path / "g")
+        mode="snr"), output_dir=tmp_path / "g")
     wider = replace(
         cfg, pattern=replace(cfg.pattern, main_gain=db_to_linear(12.0)))
     for row, t in zip(rows_of(gain, "cov_gain12db.csv"), thresholds):
-        want = sinr_coverage(wider, [db_to_linear(t)], mode="closed24")
+        want = sinr_coverage(wider, [db_to_linear(t)], mode="snr")
         assert row[1:3] == [f"{want.probability[0]:.12g}", "0"]
 
     # the sinr curve of SINR_VS_SNR stays on quadrature
     both = run_scenario(Scenario(
         name="s", config=cfg, experiment=Experiment.SINR_VS_SNR,
-        grid={"threshold_db": thresholds}, mode="closed24"),
+        grid={"threshold_db": thresholds}, mode="snr"),
         output_dir=tmp_path / "s")
     for row, t in zip(rows_of(both, "sinr_tiers1.csv"), thresholds):
         want = sinr_coverage(cfg, [db_to_linear(t)])
+        assert want.error[0] > 0.0
         assert row[1:3] == [f"{want.probability[0]:.12g}",
                             f"{want.error[0]:.12g}"]
     for row, t in zip(rows_of(both, "snr_tiers1.csv"), thresholds):
-        want = sinr_coverage(cfg, [db_to_linear(t)], mode="closed24")
+        want = sinr_coverage(cfg, [db_to_linear(t)], mode="snr")
         assert row[1:3] == [f"{want.probability[0]:.12g}", "0"]
 
     # beam, rate and energy metrics take the closed form too: each cell is
-    # the library's value under mode closed24, with no quadrature error
+    # the library's value in SNR mode, with no quadrature error
     for exp, grid, name, x, want in (
             (Experiment.BEAM_ERROR,
              {"threshold_db": [0.0], "sigma_be_deg": [5.0]},
              "cov_sigma5deg.csv", 0.0,
              coverage_with_beam_error(cfg, [1.0], math.radians(5.0),
-                                      mode="closed24").probability[0]),
+                                      mode="snr").probability[0]),
             (Experiment.RATE, {"rate_bps": [1e8]}, "rate_coverage.csv", 1e8,
-             rate_coverage(cfg, [1e8], mode="closed24").probability[0]),
+             rate_coverage(cfg, [1e8], mode="snr").probability[0]),
             (Experiment.ENERGY, {"bias_db": [0.0]}, "ee_base.csv", 0.0,
              energy_efficiency(with_bias(cfg, {0: 1.0}), 1.0,
-                               mode="closed24").energy_efficiency)):
+                               mode="snr").energy_efficiency)):
         result = run_scenario(Scenario(name="x", config=cfg, experiment=exp,
-                                       grid=grid, mode="closed24"),
+                                       grid=grid, mode="snr"),
                               output_dir=tmp_path / exp.value)
         assert rows_of(result, name) == [[f"{x:.12g}", f"{want:.12g}", "0",
                                           ""]]
