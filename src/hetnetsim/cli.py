@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage, config or IO error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, montecarlo
-from .model import ConfigError, db_to_linear, load_config
+from .model import DB, ConfigError, db_to_linear, load_config, read
 from .scenarios import load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -102,10 +101,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     sim = montecarlo.SimConfig(drops=args.drops, seed=args.seed,
                                parallel_chunks=args.chunks)
     try:
-        thresholds_db = [float(tok) for tok in
-                         str(args.thresholds_db).split(",") if tok.strip()]
+        values = [float(tok) for tok in str(args.thresholds_db).split(",")
+                  if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --thresholds-db value: {exc}") from exc
+    thresholds_db = [read(DB, t, "--thresholds-db") for t in values]
     sigma = float(np.radians(args.sigma_be_deg))
     batch = montecarlo.simulate(cfg, sim, sigma_be_rad=sigma,
                                 workers=args.workers)
@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

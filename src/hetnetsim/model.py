@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 from typing import Sequence
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -36,17 +37,23 @@ class Band(enum.Enum):
 
 
 def db_to_linear(db: float) -> float:
-    """Power ratio from decibels."""
-    return 10.0 ** (db / 10.0)
+    """Power ratio from decibels; infinite where it overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return db_to_linear(dbm - 30.0)
 
 
 def friis_kappa(carrier_hz: float) -> float:
-    """Free-space reference loss (4 pi f / c)^2, the path-loss value at 1 m."""
-    return (4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT) ** 2
+    """Free-space loss (4 pi f / c)^2 at 1 m; infinite where it overflows."""
+    try:
+        return (4.0 * math.pi * carrier_hz / SPEED_OF_LIGHT) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float,
@@ -68,17 +75,6 @@ class AntennaPattern:
     def main_prob(self) -> float:
         # probability a uniformly aimed lobe covers a given direction
         return self.beamwidth_rad / (2.0 * math.pi)
-
-    def validate(self, where: str) -> list[str]:
-        errs = []
-        if not (0.0 < self.beamwidth_rad <= 2.0 * math.pi):
-            errs.append(f"{where}.beamwidth_deg: must be in (0, 360], "
-                        f"got {math.degrees(self.beamwidth_rad)}")
-        errs += _positive(f"{where}.main_db", self.main_gain)
-        errs += _positive(f"{where}.side_db", self.side_gain)
-        if self.main_gain < self.side_gain:
-            errs.append(f"{where}: main-lobe gain below side-lobe gain")
-        return errs
 
 
 def _positive(name: str, value: float) -> list[str]:
@@ -126,13 +122,6 @@ class FadingConfig:
         if state is LinkState.NLOS:
             return self.n_nlos
         raise ValueError("fading is undefined for outage links")
-
-    def validate(self) -> list[str]:
-        errs = []
-        for name, n in (("n_los", self.n_los), ("n_nlos", self.n_nlos)):
-            if not isinstance(n, int) or n < 1:
-                errs.append(f"fading.{name}: must be a positive integer, got {n!r}")
-        return errs
 
 
 @dataclass(frozen=True)
@@ -284,13 +273,21 @@ def validate(cfg: NetworkConfig) -> NetworkConfig:
     errs += _nonnegative("ue_density_per_m2", cfg.ue_density)
     errs += _positive("bandwidth_hz", cfg.bandwidth)
     errs += _positive("carrier_hz", cfg.carrier)
-    errs += cfg.pattern.validate("antenna")
-    if cfg.mu_pattern is not None:
-        errs += cfg.mu_pattern.validate("mu_antenna")
-    errs += cfg.fading.validate()
+    for where, pat in (("antenna", cfg.pattern), ("mu_antenna", cfg.mu_pattern)):
+        if pat is None:
+            continue
+        if not (0.0 < pat.beamwidth_rad <= 2.0 * math.pi):
+            errs.append(f"{where}.beamwidth_deg: must be in (0, 360], "
+                        f"got {math.degrees(pat.beamwidth_rad)}")
+        errs += _positive(f"{where}.main_db", pat.main_gain)
+        errs += _positive(f"{where}.side_db", pat.side_gain)
+        if pat.main_gain < pat.side_gain:
+            errs.append(f"{where}: main-lobe gain below side-lobe gain")
+    for name, n in (("n_los", cfg.fading.n_los), ("n_nlos", cfg.fading.n_nlos)):
+        if not isinstance(n, int) or n < 1:
+            errs.append(f"fading.{name}: must be a positive integer, got {n!r}")
     for k, tier in enumerate(cfg.tiers):
         where = f"tiers[{k}]"
-        errs += _positive(f"{where}.density_per_m2", tier.density)
         errs += _positive(f"{where}.tx_power_dbm", tier.tx_power)
         errs += _positive(f"{where}.bias_db", tier.bias)
         errs += _positive(f"{where}.noise_power (from bandwidth_hz, "
@@ -310,8 +307,18 @@ def validate(cfg: NetworkConfig) -> NetworkConfig:
                 errs.append(f"{bw}.los_prob: must be in [0, 1], got {ball.los_prob}")
             errs += _positive(f"{bw}.alpha_los", ball.alpha_los)
             errs += _positive(f"{bw}.alpha_nlos", ball.alpha_nlos)
-            errs += _positive(f"{bw}.kappa_los_db", ball.kappa_los)
-            errs += _positive(f"{bw}.kappa_nlos_db", ball.kappa_nlos)
+            # the loss at the outer edge bounds the state's intensity measure
+            for s in (LinkState.LOS, LinkState.NLOS) if ball.radius > 0 else ():
+                try:
+                    loss = ball.kappa(s) * ball.radius ** ball.alpha(s)
+                except OverflowError:
+                    loss = math.inf
+                errs += _positive(f"{bw}.kappa_{s.value}_db (or the Friis loss "
+                                  f"at carrier_hz) * radius_m ** alpha_{s.value}",
+                                  loss)
+        if prev > 0:  # the mean station count in the outage ball
+            errs += _positive(f"{where}.density_per_m2 * pi * radius_m ** 2",
+                              math.pi * tier.density * prev * prev)
         if tier.band is Band.MICROWAVE and cfg.mu_pattern is None:
             errs.append(f"{where}.band: microwave tier requires top-level mu_antenna")
     if errs:
@@ -319,104 +326,160 @@ def validate(cfg: NetworkConfig) -> NetworkConfig:
     return cfg
 
 
-def _db(d: dict, key: str, where: str, default: float | None = None) -> float:
-    """The decibel field d[key], or default when absent and one is given;
-    refused as written unless its linear value is finite and > 0, since
-    validate sees only the converted value."""
-    written = d[key] if default is None else d.get(key, default)
-    try:
-        ok = 0.0 < 10.0 ** (float(written) / 10.0) < math.inf
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"{where}.{key}: must be a finite dB value with a "
-                          f"finite linear value > 0, got {written!r}")
-    return float(written)
+# ---------------------------------------------------------------------------
+# JSON input: each key is described once, by its kind, and `read` checks a
+# raw value against it.  Ranges stay with validate.
+
+NUMBER, POSITIVE, NONNEGATIVE, DB = "number", "positive", "nonnegative", "dB"
+INTEGER, TEXT, ANY = "integer", "string", "any"
 
 
-def _pattern_from_dict(d: dict, where: str) -> AntennaPattern:
-    try:
-        return AntennaPattern(
-            main_gain=db_to_linear(_db(d, "main_db", where)),
-            side_gain=db_to_linear(_db(d, "side_db", where)),
-            beamwidth_rad=math.radians(float(d["beamwidth_deg"])),
-        )
-    except KeyError as e:
-        raise ConfigError(f"{where}: missing field {e.args[0]!r}") from None
+def _float(value, default=None):
+    """value as a float if a JSON number (no bool, no int beyond floats)."""
+    if isinstance(value, float) or type(value) is int and abs(value) < 1e308:
+        return float(value)
+    return default
+
+
+# scalar kind: (test of a raw value, what it must be).  NUMBER's range is
+# validate's; a dB value is checked as written, since validate sees it linear.
+_SCALARS = {
+    ANY: (lambda v: True, ""),
+    TEXT: (lambda v: isinstance(v, str), " must be a string"),
+    INTEGER: (lambda v: type(v) is int, " must be an integer"),
+    NUMBER: (lambda v: _float(v) is not None, " must be a number"),
+    POSITIVE: (lambda v: 0.0 < _float(v, math.nan) < math.inf,
+               " must be a number, finite and > 0"),
+    NONNEGATIVE: (lambda v: 0.0 <= _float(v, math.nan) < math.inf,
+                  " must be a number, finite and >= 0"),
+    DB: (lambda v: 0.0 < db_to_linear(_float(v, math.nan)) < math.inf,
+         ": must be a finite dB value with a finite linear value > 0"),
+}
+
+
+def read(kind, value, path: str, name: str = "", sep: str = "."):
+    """value checked against kind, with its numbers as floats; otherwise a
+    ConfigError naming the first entry at fault by its path and its value.
+
+    A kind is a scalar kind above; a tuple of the strings allowed; [item], a
+    non-empty list; {int: item}, an object from tier indices to item; or
+    {key: kind}, an object whose keys ending in "?" are optional and which
+    has no other keys.  Messages call an object `name`, if given, and `sep`
+    joins its path to a key.
+    """
+    if isinstance(kind, str):
+        test, must = _SCALARS[kind]
+        if not test(value):
+            raise ConfigError(f"{path}{must}, got {value!r}")
+        return value if kind in (ANY, TEXT, INTEGER) else float(value)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{path} must be one of {', '.join(kind)}, "
+                              f"got {value!r}")
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"{path} must be a non-empty list")
+        item, = kind
+        if isinstance(item, dict):  # each entry has the required keys
+            needs = [k for k in item if k[-1] != "?"]
+            for v in value:
+                if not (isinstance(v, dict) and all(k in v for k in needs)):
+                    raise ConfigError(f"{path} entries must be objects with "
+                                      f"{', '.join(needs)}, got {v!r}")
+        return [read(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    subject = name or path
+    if not isinstance(value, dict):
+        raise ConfigError(f"{subject} must be an object, got {value!r}")
+    if int in kind:
+        for k in value:
+            if not str(k).removeprefix("-").isdecimal():
+                raise ConfigError(f"{subject} keys must be tier indices, "
+                                  f"got {k!r}")
+        return {int(k): read(kind[int], v, f"{path}.{k}")
+                for k, v in value.items()}
+    missing = [k for k in kind if k[-1] != "?" and k not in value]
+    if missing:
+        raise ConfigError(f"{subject} is missing keys: {', '.join(missing)}")
+    kinds = {k.rstrip("?"): v for k, v in kind.items()}
+    unknown = sorted(set(value) - kinds.keys())
+    if unknown:
+        raise ConfigError(f"{subject} has unknown keys: {', '.join(unknown)}")
+    return {k: read(kinds[k], v, f"{path}{sep}{k}" if path else k)
+            for k, v in value.items()}
+
+
+_PATTERN = {"main_db": DB, "side_db": DB, "beamwidth_deg": NUMBER}
+_BALL = {"radius_m": NUMBER, "los_prob": NUMBER, "alpha_los": NUMBER,
+         "alpha_nlos": NUMBER, "kappa_los_db?": DB, "kappa_nlos_db?": DB}
+_TIER = {"density_per_m2": NUMBER, "tx_power_dbm": DB, "balls": [_BALL],
+         "name?": TEXT, "band?": tuple(b.value for b in Band), "bias_db?": DB,
+         "noise_figure_db?": DB, "psd_dbm_hz?": DB, "static_power_w?": NUMBER,
+         "amp_slope?": NUMBER, "carrier_hz?": POSITIVE,
+         "bandwidth_hz?": POSITIVE}
+CONFIG = {"ue_density_per_m2": NUMBER, "bandwidth_hz": POSITIVE,
+          "carrier_hz": POSITIVE, "antenna": _PATTERN, "tiers": [_TIER],
+          "mu_antenna?": _PATTERN,
+          "fading?": {"n_los?": INTEGER, "n_nlos?": INTEGER}}
+
+
+def _pattern(d: dict) -> AntennaPattern:
+    return AntennaPattern(main_gain=db_to_linear(d["main_db"]),
+                          side_gain=db_to_linear(d["side_db"]),
+                          beamwidth_rad=math.radians(d["beamwidth_deg"]))
 
 
 def network_from_dict(raw: dict) -> NetworkConfig:
-    """Build and validate a NetworkConfig from the JSON schema dict.
+    """Build and validate a NetworkConfig from a JSON object of kind CONFIG.
 
     dB fields are converted here; kappa defaults to the Friis constant at the
     tier's carrier (per-tier `carrier_hz` overrides the top level, as does
     `bandwidth_hz` for that tier's noise power).
     """
-    try:
-        carrier = float(raw["carrier_hz"])
-        bandwidth = float(raw["bandwidth_hz"])
-        ue_density = float(raw["ue_density_per_m2"])
-        pattern = _pattern_from_dict(raw["antenna"], "antenna")
-        fading_raw = raw.get("fading", {})
-        fading = FadingConfig(n_los=int(fading_raw.get("n_los", 3)),
-                              n_nlos=int(fading_raw.get("n_nlos", 2)))
-        mu_pattern = None
-        if "mu_antenna" in raw:
-            mu_pattern = _pattern_from_dict(raw["mu_antenna"], "mu_antenna")
-        tiers = []
-        for k, traw in enumerate(raw["tiers"]):
-            where = f"tiers[{k}]"
-            band = Band(traw.get("band", "mmwave"))
-            tier_carrier = float(traw.get("carrier_hz", carrier))
-            tier_bandwidth = float(traw.get("bandwidth_hz", bandwidth))
-            kappa_default = friis_kappa(tier_carrier)
-            balls = []
-            for d, braw in enumerate(traw["balls"]):
-                kl, kn = (db_to_linear(_db(braw, key, f"{where}.balls[{d}]"))
-                          if key in braw else kappa_default
-                          for key in ("kappa_los_db", "kappa_nlos_db"))
-                balls.append(BallSpec(
-                    radius=float(braw["radius_m"]),
-                    los_prob=float(braw["los_prob"]),
-                    alpha_los=float(braw["alpha_los"]),
-                    alpha_nlos=float(braw["alpha_nlos"]),
-                    kappa_los=kl,
-                    kappa_nlos=kn,
-                ))
-            tiers.append(TierConfig(
-                density=float(traw["density_per_m2"]),
-                tx_power=dbm_to_watts(_db(traw, "tx_power_dbm", where)),
-                bias=db_to_linear(_db(traw, "bias_db", where, 0.0)),
-                balls=tuple(balls),
-                noise_power=noise_power_w(
-                    tier_bandwidth, _db(traw, "noise_figure_db", where, 0.0),
-                    _db(traw, "psd_dbm_hz", where, NOISE_PSD_DBM_HZ)),
-                static_power=float(traw.get("static_power_w", 0.0)),
-                amp_slope=float(traw.get("amp_slope", 1.0)),
-                band=band,
-                name=str(traw.get("name", f"tier{k + 1}")),
-            ))
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError(f"missing required config field {e.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"malformed config value: {e}") from None
+    raw = read(CONFIG, raw, "", name="config")
+    tiers = []
+    for k, t in enumerate(raw["tiers"]):
+        kappa_default = friis_kappa(t.get("carrier_hz", raw["carrier_hz"]))
+        balls = tuple(BallSpec(
+            radius=b["radius_m"], los_prob=b["los_prob"],
+            alpha_los=b["alpha_los"], alpha_nlos=b["alpha_nlos"],
+            kappa_los=db_to_linear(b["kappa_los_db"])
+            if "kappa_los_db" in b else kappa_default,
+            kappa_nlos=db_to_linear(b["kappa_nlos_db"])
+            if "kappa_nlos_db" in b else kappa_default) for b in t["balls"])
+        tiers.append(TierConfig(
+            density=t["density_per_m2"],
+            tx_power=dbm_to_watts(t["tx_power_dbm"]),
+            bias=db_to_linear(t.get("bias_db", 0.0)),
+            balls=balls,
+            noise_power=noise_power_w(
+                t.get("bandwidth_hz", raw["bandwidth_hz"]),
+                t.get("noise_figure_db", 0.0),
+                t.get("psd_dbm_hz", NOISE_PSD_DBM_HZ)),
+            static_power=t.get("static_power_w", 0.0),
+            amp_slope=t.get("amp_slope", 1.0),
+            band=Band(t.get("band", "mmwave")),
+            name=t.get("name", f"tier{k + 1}")))
     return validate(NetworkConfig(
-        tiers=tuple(tiers), ue_density=ue_density, bandwidth=bandwidth,
-        carrier=carrier, pattern=pattern, fading=fading,
-        mu_pattern=mu_pattern))
+        tiers=tuple(tiers), ue_density=raw["ue_density_per_m2"],
+        bandwidth=raw["bandwidth_hz"], carrier=raw["carrier_hz"],
+        pattern=_pattern(raw["antenna"]),
+        fading=FadingConfig(**raw.get("fading", {})),
+        mu_pattern=_pattern(raw["mu_antenna"]) if "mu_antenna" in raw else None))
+
+
+def _read_json(path) -> object:
+    """The JSON value a file holds; a ConfigError if it cannot be read."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def load_config(path: str) -> NetworkConfig:
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: not valid JSON ({e})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return network_from_dict(raw)
+    return network_from_dict(_read_json(path))
 
 
 def _bundled_raw(name: str) -> dict:

@@ -34,17 +34,15 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import association, coverage, metrics, montecarlo
-from .model import (Band, ConfigError, NetworkConfig, _bundled_raw,
-                    db_to_linear, network_from_dict, validate, with_balls,
-                    with_bias, with_density_scale)
+from .model import (ANY, DB, INTEGER, NONNEGATIVE, NUMBER, POSITIVE, TEXT,
+                    Band, ConfigError, NetworkConfig, _bundled_raw,
+                    _read_json, db_to_linear, network_from_dict, read,
+                    validate, with_balls, with_bias, with_density_scale)
 
 _TOLERANCES = {"outer_abs_tol": coverage.OUTER_ABS_TOL,
                "outer_rel_tol": coverage.OUTER_REL_TOL,
                "assoc_abs_tol": association.ABS_TOL,
                "assoc_rel_tol": association.REL_TOL}
-
-_SCENARIO_KEYS = ("name", "experiment", "config", "grid", "mode",
-                  "monte_carlo", "output_dir", "workers")
 
 
 class Experiment(enum.Enum):
@@ -58,6 +56,13 @@ class Experiment(enum.Enum):
     ASSOC_VS_BIAS = "ASSOC_VS_BIAS"
     HYBRID_BIAS = "HYBRID_BIAS"
     HYBRID_DENSITY = "HYBRID_DENSITY"
+
+
+# load_scenario reads config (an object or a path), grid and monte_carlo
+_SCENARIO = {"name": TEXT, "experiment": tuple(e.value for e in Experiment),
+             "config": ANY, "grid": ANY, "mode?": ("sinr", "snr"),
+             "monte_carlo?": ANY, "output_dir?": TEXT, "workers?": INTEGER}
+_MONTE_CARLO = {"drops": INTEGER, "seed?": INTEGER, "chunks?": INTEGER}
 
 
 @dataclass(frozen=True)
@@ -83,52 +88,10 @@ class ScenarioResult:
     wall_time_s: float
 
 
-def _as_list(grid: dict, key: str) -> list:
-    value = grid[key]
-    if not isinstance(value, (list, tuple)) or len(value) == 0:
-        raise ConfigError(f"grid.{key} must be a non-empty list")
-    return list(value)
-
-
-def _as_int(key: str, value: Any) -> int:
-    """value, which scenario key `key` holds and must be a JSON integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _check_keys(where: str, raw: dict, known) -> None:
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys: {', '.join(unknown)}")
-
-
-def _validate_grid(experiment: Experiment, grid: dict) -> None:
-    required, optional, _ = _EXPERIMENTS[experiment]
-    missing = [k for k in required if k not in grid]
-    if missing:
-        raise ConfigError(
-            f"{experiment.value} grid is missing keys: {', '.join(missing)}")
-    _check_keys(f"{experiment.value} grid", grid, required + optional)
-    for key in required:
-        _as_list(grid, key)
-    for key in ("tiers", "tier_counts", "variants"):
-        if not isinstance(grid.get(key, ()), (list, tuple)):
-            raise ConfigError(f"grid.{key} must be a list, got {grid[key]!r}")
-    needs = (("name", "radii", "los_prob")
-             if experiment is Experiment.BALL_PARAMS else ("name",))
-    for var in grid.get("variants", ()):
-        if not isinstance(var, dict) or any(k not in var for k in needs):
-            raise ConfigError(f"grid.variants entries must be objects with "
-                              f"{', '.join(needs)}, got {var!r}")
-    for sigma in grid.get("sigma_be_deg", ()):
-        try:
-            ok = math.isfinite(float(sigma)) and float(sigma) >= 0.0
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ConfigError(
-                f"grid.sigma_be_deg must be finite and >= 0, got {sigma!r}")
+def _read_grid(experiment: Experiment, grid) -> dict:
+    """The grid, read against its experiment's kind."""
+    return read(_EXPERIMENTS[experiment][0], grid, "grid",
+                name=f"{experiment.value} grid")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -138,65 +101,34 @@ def load_scenario(path: str | Path) -> Scenario:
     scenario file, or "bundled:<name>" for a packaged config.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario file must contain a JSON object")
-    for key in ("name", "experiment", "config", "grid"):
-        if key not in raw:
-            raise ConfigError(f"scenario is missing required key '{key}'")
-    _check_keys("scenario", raw, _SCENARIO_KEYS)
-    try:
-        experiment = Experiment(str(raw["experiment"]))
-    except ValueError:
-        names = ", ".join(e.value for e in Experiment)
-        raise ConfigError(
-            f"unknown experiment '{raw['experiment']}' (expected one of {names})")
+    raw = read(_SCENARIO, _read_json(path), "", name="scenario")
+    experiment = Experiment(raw["experiment"])
 
-    source = raw["config"]
+    source = config_raw = raw["config"]  # an object, or a path to one
     config_path = None
-    if isinstance(source, dict):
-        config_raw = source
-    elif isinstance(source, str) and source.startswith("bundled:"):
-        config_path = source
-        config_raw = _bundled_raw(source.split(":", 1)[1])
+    if isinstance(source, str) and source.startswith("bundled:"):
+        config_path, config_raw = source, _bundled_raw(source.split(":", 1)[1])
     elif isinstance(source, str):
         config_path = str((path.parent / source).resolve())
-        try:
-            config_raw = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    else:
-        raise ConfigError("scenario config must be an object or a path string")
+        config_raw = _read_json(config_path)
     cfg = network_from_dict(config_raw)
-
-    grid = raw["grid"]
-    if not isinstance(grid, dict):
-        raise ConfigError("scenario grid must be an object")
-    _validate_grid(experiment, grid)
+    _read_grid(experiment, raw["grid"])
 
     mc = None
     if raw.get("monte_carlo") is not None:
-        mc_raw = raw["monte_carlo"]
-        if not isinstance(mc_raw, dict) or "drops" not in mc_raw:
-            raise ConfigError("monte_carlo must be an object with 'drops'")
-        _check_keys("monte_carlo", mc_raw, ("drops", "seed", "chunks"))
+        # its keys read "monte_carlo: drops", as SimConfig's range errors do
+        mc_raw = read(_MONTE_CARLO, raw["monte_carlo"], "monte_carlo",
+                      sep=": ")
         try:
-            mc = montecarlo.SimConfig(
-                drops=_as_int("drops", mc_raw["drops"]),
-                seed=_as_int("seed", mc_raw.get("seed", 0)),
-                parallel_chunks=_as_int("chunks", mc_raw.get("chunks", 1)))
+            mc = montecarlo.SimConfig(drops=mc_raw["drops"],
+                                      seed=mc_raw.get("seed", 0),
+                                      parallel_chunks=mc_raw.get("chunks", 1))
         except ValueError as exc:
             raise ConfigError(f"monte_carlo: {exc}") from exc
-    mode = str(raw.get("mode", "sinr"))
-    if mode not in ("sinr", "snr"):
-        raise ConfigError(f"unknown mode '{mode}'")
-    return Scenario(name=str(raw["name"]), config=cfg, experiment=experiment,
-                    grid=grid, mode=mode, monte_carlo=mc,
-                    output_dir=raw.get("output_dir"),
-                    workers=_as_int("workers", raw.get("workers", 1)),
+    return Scenario(name=raw["name"], config=cfg, experiment=experiment,
+                    grid=raw["grid"], mode=raw.get("mode", "sinr"),
+                    monte_carlo=mc, output_dir=raw.get("output_dir"),
+                    workers=raw.get("workers", 1),
                     config_path=config_path, config_raw=config_raw)
 
 
@@ -286,21 +218,12 @@ def _mc_estimate(curve: _Curve, cfg: NetworkConfig, x: float, arg: Any,
 
 
 def _tag(value: float) -> str:
-    """Compact token for filenames: -5 -> m5, 0.5 -> 0p5, 10.0 -> 10."""
-    if float(value) == int(value):
+    """Compact token for filenames: -5 -> m5, 0.5 -> 0p5, 1e20 -> 1ep20."""
+    if float(value) == int(value) and abs(value) < 1e16:
         text = str(int(value))
     else:
         text = repr(float(value))
     return text.replace("-", "m").replace(".", "p")
-
-
-def _scalar_threshold_db(grid: dict) -> float:
-    value = grid.get("threshold_db", 0.0)
-    if isinstance(value, (list, tuple)):
-        if len(value) != 1:
-            raise ConfigError("this experiment takes a single threshold_db")
-        value = value[0]
-    return float(value)
 
 
 def _band_tiers(scn: Scenario, band: Band) -> list[int]:
@@ -310,23 +233,36 @@ def _band_tiers(scn: Scenario, band: Band) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# experiments: each builds its curves; six sweep threshold_db per config and
-# four build one config per x
+# experiments: each builds its curves from the grid as read; six sweep
+# threshold_db per config and four build one config per x
 
-def _threshold_curves(scn: Scenario, curves: list[tuple]) -> list[_Curve]:
+def _threshold_curves(grid: dict, curves: list[tuple]) -> list[_Curve]:
     """One curve over grid.threshold_db per (filename, config, metric)."""
-    th = [float(t) for t in scn.grid["threshold_db"]]
-    return [_Curve(name, metric, [(t, cfg, db_to_linear(t)) for t in th])
+    return [_Curve(name, metric, [(t, cfg, db_to_linear(t))
+                                  for t in grid["threshold_db"]])
             for name, cfg, metric in curves]
 
 
-def _bias_curves(scn: Scenario, base: NetworkConfig, tiers: list[int],
+def _swept(key: str, values, build: Callable) -> list[tuple]:
+    """(value, build(value)) for each of the values of grid.<key>: every
+    config is built, and so validated, before a filename tag formats a value,
+    and a ConfigError names the value that made it invalid."""
+    swept = []
+    for value in values:
+        try:
+            swept.append((value, build(value)))
+        except ConfigError as exc:
+            raise ConfigError(f"grid.{key} {value!r}: {exc}") from None
+    return swept
+
+
+def _bias_curves(grid: dict, base: NetworkConfig, tiers: list[int],
                  curves: list[tuple]) -> list[_Curve]:
     """One curve over grid.bias_db per (filename, metric, argument[, tier]).
 
     The config at each bias is `base` with `tiers` biased by it.
     """
-    biases = [float(b) for b in scn.grid["bias_db"]]
+    biases = grid["bias_db"]
     configs = [with_bias(base, {i: db_to_linear(b) for i in tiers})
                for b in biases]
     return [_Curve(name, metric, [(b, cfg, arg)
@@ -340,93 +276,82 @@ def _assoc_curves(scn: Scenario, suffix: str) -> list[tuple]:
              _metric(scn, "assoc"), None, k) for k, t in enumerate(tiers)]
 
 
-def _sinr_vs_snr(scn: Scenario) -> list[_Curve]:
-    counts = [_as_int("grid.tier_counts", n) for n in scn.grid.get(
-        "tier_counts", range(1, scn.config.n_tiers + 1))]
-    return _threshold_curves(scn, [
-        (f"{mode}_tiers{n}.csv", scn.config.subset(tuple(range(n))),
-         _metric(scn, "coverage", mode))
-        for n in counts for mode in ("sinr", "snr")])
+def _sinr_vs_snr(scn: Scenario, grid: dict) -> list[_Curve]:
+    counts = grid.get("tier_counts", range(1, scn.config.n_tiers + 1))
+    return _threshold_curves(grid, [
+        (f"{mode}_tiers{n}.csv", cfg, _metric(scn, "coverage", mode))
+        for n, cfg in _swept("tier_counts", counts, lambda n: scn.config.subset(
+            tuple(range(read(INTEGER, n, "grid.tier_counts")))))
+        for mode in ("sinr", "snr")])
 
 
-def _swept(scn: Scenario, key: str, build: Callable) -> list[tuple]:
-    """(value, build(value)) for each value of grid[key].
-
-    Every config is built, and so validated, before any filename tag
-    formats a value: an invalid value is refused as a ConfigError, never
-    reaches _tag, and writes no output.
-    """
-    return [(v, build(float(v))) for v in scn.grid[key]]
-
-
-def _gain_sweep(scn: Scenario) -> list[_Curve]:
+def _gain_sweep(scn: Scenario, grid: dict) -> list[_Curve]:
     cfg = scn.config
-    return _threshold_curves(scn, [
+    return _threshold_curves(grid, [
         (f"cov_gain{_tag(g)}db.csv", c, _metric(scn, "coverage"))
-        for g, c in _swept(scn, "main_gain_db", lambda g: validate(replace(
-            cfg, pattern=replace(cfg.pattern, main_gain=db_to_linear(g)))))])
+        for g, c in _swept("main_gain_db", grid["main_gain_db"], lambda g:
+                           validate(replace(cfg, pattern=replace(
+                               cfg.pattern, main_gain=db_to_linear(g)))))])
 
 
-def _ball_params(scn: Scenario) -> list[_Curve]:
-    return _threshold_curves(scn, [
-        (f"cov_{v['name']}.csv", with_balls(
-            scn.config, _as_int("grid.variants.tier", v.get("tier", 0)),
-            v["radii"], v["los_prob"]),
-         _metric(scn, "coverage")) for v in scn.grid["variants"]])
+def _ball_params(scn: Scenario, grid: dict) -> list[_Curve]:
+    return _threshold_curves(grid, [
+        (f"cov_{v['name']}.csv", c, _metric(scn, "coverage"))
+        for v, c in _swept("variants", grid["variants"], lambda v: with_balls(
+            scn.config, read(INTEGER, v.get("tier", 0), "grid.variants.tier"),
+            v["radii"], v["los_prob"]))])
 
 
-def _beam_error(scn: Scenario) -> list[_Curve]:
-    return _threshold_curves(scn, [
+def _beam_error(scn: Scenario, grid: dict) -> list[_Curve]:
+    return _threshold_curves(grid, [
         (f"cov_sigma{_tag(s)}deg.csv", scn.config,
-         _metric(scn, "beam", sigma=math.radians(float(s))))
-        for s in scn.grid["sigma_be_deg"]])
+         _metric(scn, "beam", sigma=math.radians(s)))
+        for s in grid["sigma_be_deg"]])
 
 
-def _hybrid_bias(scn: Scenario) -> list[_Curve]:
+def _hybrid_bias(scn: Scenario, grid: dict) -> list[_Curve]:
     mm = _band_tiers(scn, Band.MMWAVE)
-    return _threshold_curves(scn, [
+    return _threshold_curves(grid, [
         (f"cov_bias{_tag(b)}db.csv", c, _metric(scn, "coverage"))
-        for b, c in _swept(scn, "bias_db", lambda b: with_bias(
+        for b, c in _swept("bias_db", grid["bias_db"], lambda b: with_bias(
             scn.config, {i: db_to_linear(b) for i in mm}))])
 
 
-def _hybrid_density(scn: Scenario) -> list[_Curve]:
+def _hybrid_density(scn: Scenario, grid: dict) -> list[_Curve]:
     micro = _band_tiers(scn, Band.MICROWAVE)[0]
-    return _threshold_curves(scn, [
+    return _threshold_curves(grid, [
         (f"cov_density{_tag(m)}x.csv", c, _metric(scn, "coverage"))
-        for m, c in _swept(scn, "density_mult", lambda m: with_density_scale(
-            scn.config, {micro: m}))])
+        for m, c in _swept("density_mult", grid["density_mult"],
+                           lambda m: with_density_scale(scn.config, {micro: m}))])
 
 
-def _bias_sweep(scn: Scenario) -> list[_Curve]:
-    threshold = db_to_linear(_scalar_threshold_db(scn.grid))
-    tiers = [_as_int("grid.tiers", i)
-             for i in scn.grid.get("tiers", range(1, scn.config.n_tiers))]
-    return _bias_curves(scn, scn.config, tiers, [
+def _bias_sweep(scn: Scenario, grid: dict) -> list[_Curve]:
+    threshold = db_to_linear(grid.get("threshold_db", 0.0))
+    tiers = [read(INTEGER, i, "grid.tiers")
+             for i in grid.get("tiers", range(1, scn.config.n_tiers))]
+    return _bias_curves(grid, scn.config, tiers, [
         ("coverage_vs_bias.csv", _metric(scn, "coverage"), threshold)]
         + _assoc_curves(scn, "_vs_bias"))
 
 
-def _assoc_vs_bias(scn: Scenario) -> list[_Curve]:
-    tier = _as_int("grid.tier", scn.grid.get("tier", scn.config.n_tiers - 1))
-    return _bias_curves(scn, scn.config, [tier], _assoc_curves(scn, ""))
+def _assoc_vs_bias(scn: Scenario, grid: dict) -> list[_Curve]:
+    tier = read(INTEGER, grid.get("tier", scn.config.n_tiers - 1), "grid.tier")
+    return _bias_curves(grid, scn.config, [tier], _assoc_curves(scn, ""))
 
 
-def _energy(scn: Scenario) -> list[_Curve]:
-    threshold = db_to_linear(_scalar_threshold_db(scn.grid))
-    tier = _as_int("grid.tier", scn.grid.get("tier", scn.config.n_tiers - 1))
+def _energy(scn: Scenario, grid: dict) -> list[_Curve]:
+    threshold = db_to_linear(grid.get("threshold_db", 0.0))
+    tier = read(INTEGER, grid.get("tier", scn.config.n_tiers - 1), "grid.tier")
     metric = _metric(scn, "ee")
-    curves = []
-    for var in [{"name": "base"}] + list(scn.grid.get("variants", [])):
-        scale = var.get("density_scale") or {}
-        base = with_density_scale(
-            scn.config, {int(i): float(m) for i, m in scale.items()})
-        curves += _bias_curves(scn, base, [tier], [
-            (f"ee_{var['name']}.csv", metric, threshold)])
-    return curves
+    variants = [{"name": "base"}] + grid.get("variants", [])
+    return [curve for var, base in _swept(
+        "variants", variants, lambda v: with_density_scale(
+            scn.config, v.get("density_scale", {})))
+        for curve in _bias_curves(grid, base, [tier], [
+            (f"ee_{var['name']}.csv", metric, threshold)])]
 
 
-def _rate(scn: Scenario) -> list[_Curve]:
+def _rate(scn: Scenario, grid: dict) -> list[_Curve]:
     """One curve whose points carry their per-tier equivalent thresholds.
 
     The mean loads, and with them the association table, are computed once
@@ -434,7 +359,7 @@ def _rate(scn: Scenario) -> list[_Curve]:
     Carlo job.
     """
     metric = _metric(scn, "rate")
-    rates = [float(r) for r in scn.grid["rate_bps"]]
+    rates = grid["rate_bps"]
     loads = metrics.mean_loads(scn.config)
     thresholds = metrics.equivalent_thresholds(scn.config, rates, loads)
     return [_Curve("rate_coverage.csv", metric,
@@ -443,23 +368,33 @@ def _rate(scn: Scenario) -> list[_Curve]:
                    loads=tuple(map(float, loads)))]
 
 
-# experiment: (required grid keys, each a non-empty list; optional grid keys;
-# curve builder)
+_SWEEP = [NUMBER]  # each value is checked in the config it builds
+
+# experiment: (grid kind, curve builder).  The builder reads tier indices
+# (tier, tiers, tier_counts, a variant's tier) against the network.
 _EXPERIMENTS = {
-    Experiment.SINR_VS_SNR: (("threshold_db",), ("tier_counts",),
-                             _sinr_vs_snr),
-    Experiment.GAIN_SWEEP: (("threshold_db", "main_gain_db"), (), _gain_sweep),
-    Experiment.BALL_PARAMS: (("threshold_db", "variants"), (), _ball_params),
-    Experiment.BIAS_SWEEP: (("bias_db",), ("tiers", "threshold_db"),
-                            _bias_sweep),
-    Experiment.BEAM_ERROR: (("threshold_db", "sigma_be_deg"), (), _beam_error),
-    Experiment.RATE: (("rate_bps",), (), _rate),
-    Experiment.ENERGY: (("bias_db",), ("tier", "threshold_db", "variants"),
+    Experiment.SINR_VS_SNR: (
+        {"threshold_db": [DB], "tier_counts?": [ANY]}, _sinr_vs_snr),
+    Experiment.GAIN_SWEEP: (
+        {"threshold_db": [DB], "main_gain_db": _SWEEP}, _gain_sweep),
+    Experiment.BALL_PARAMS: ({"threshold_db": [DB], "variants": [{
+        "name": TEXT, "radii": _SWEEP, "los_prob": _SWEEP, "tier?": ANY}]},
+        _ball_params),
+    Experiment.BIAS_SWEEP: (
+        {"bias_db": _SWEEP, "tiers?": [ANY], "threshold_db?": DB}, _bias_sweep),
+    Experiment.BEAM_ERROR: (
+        {"threshold_db": [DB], "sigma_be_deg": [NONNEGATIVE]}, _beam_error),
+    Experiment.RATE: ({"rate_bps": [POSITIVE]}, _rate),
+    Experiment.ENERGY: ({"bias_db": _SWEEP, "tier?": ANY, "threshold_db?": DB,
+                         "variants?": [{"name": TEXT,
+                                        "density_scale?": {int: NUMBER}}]},
                         _energy),
-    Experiment.ASSOC_VS_BIAS: (("bias_db",), ("tier",), _assoc_vs_bias),
-    Experiment.HYBRID_BIAS: (("threshold_db", "bias_db"), (), _hybrid_bias),
-    Experiment.HYBRID_DENSITY: (("threshold_db", "density_mult"), (),
-                                _hybrid_density),
+    Experiment.ASSOC_VS_BIAS: (
+        {"bias_db": _SWEEP, "tier?": ANY}, _assoc_vs_bias),
+    Experiment.HYBRID_BIAS: (
+        {"threshold_db": [DB], "bias_db": _SWEEP}, _hybrid_bias),
+    Experiment.HYBRID_DENSITY: (
+        {"threshold_db": [DB], "density_mult": _SWEEP}, _hybrid_density),
 }
 
 
@@ -531,8 +466,8 @@ def run_scenario(scn: Scenario, output_dir: str | Path | None = None,
     reported through ScenarioResult.flagged.
     """
     t0 = time.perf_counter()
-    _validate_grid(scn.experiment, scn.grid)
-    curves = _EXPERIMENTS[scn.experiment][2](scn)
+    grid = _read_grid(scn.experiment, scn.grid)
+    curves = _EXPERIMENTS[scn.experiment][1](scn, grid)
     n_workers = workers if workers is not None else scn.workers
 
     analytic = _run_jobs(

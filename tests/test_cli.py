@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -183,3 +184,26 @@ def test_mc_snr_mode(config_file, capsys):
                      "snr", "--thresholds-db", "0"]) == 0
     out = capsys.readouterr().out
     assert "coverage_snr_0dB" in out
+
+
+def test_validate_refuses_a_misspelled_optional_key(tmp_path, capsys):
+    # noise_figure for noise_figure_db was read as a 0 dB noise figure
+    raw = json.loads(resources.files("hetnetsim").joinpath(
+        "data", "table1.json").read_text())
+    raw["tiers"][0]["noise_figure"] = raw["tiers"][0].pop("noise_figure_db")
+    path = write_scenario(tmp_path, raw, name="typo.json")
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: tiers[0] has unknown keys: noise_figure\n")
+
+
+def test_mc_reads_thresholds_as_db_values(config_file, capsys):
+    # 1e308 dB overflowed in db_to_linear, and nan printed a coverage row
+    for value in ("1e308", "nan"):
+        assert cli.main(["mc", str(config_file), "--drops", "100",
+                         f"--thresholds-db=0,{value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: --thresholds-db: must be a finite dB value with a "
+            f"finite linear value > 0, got {float(value)!r}\n")

@@ -242,3 +242,64 @@ def test_sweep_builders_validate(table1):
 def test_outage_radius(table1):
     assert table1.tiers[0].outage_radius == 200.0
     assert table1.tiers[1].outage_radius == 60.0
+
+
+def _table1_with(path, value, raw=None):
+    """table1's JSON object (or raw) with the value at path replaced."""
+    raw = json.loads(resources.files("hetnetsim").joinpath(
+        "data", "table1.json").read_text()) if raw is None else raw
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("path, where", [
+    (("noise_figure",), "config"),
+    (("antenna", "gain_db"), "antenna"),
+    (("fading", "n"), "fading"),
+    (("tiers", 1, "noise_figure"), "tiers[1]"),
+    (("tiers", 0, "balls", 1, "radius"), "tiers[0].balls[1]"),
+])
+def test_config_refuses_unknown_keys(path, where):
+    with pytest.raises(ConfigError) as err:
+        network_from_dict(_table1_with(path, 10))
+    assert str(err.value) == f"{where} has unknown keys: {path[-1]}"
+
+
+def test_hybrid_config_refuses_unknown_mu_antenna_keys():
+    raw = json.loads(resources.files("hetnetsim").joinpath(
+        "data", "hybrid.json").read_text())
+    raw["mu_antenna"]["beamwidth"] = 120
+    with pytest.raises(ConfigError,
+                       match="^mu_antenna has unknown keys: beamwidth$"):
+        network_from_dict(raw)
+
+
+# each was read as a number or an integer: n_los 2.7 as N = 2, true as 1
+# (N = 1 and a density of 1 /m^2), and "3" and "1e-5" as numbers
+@pytest.mark.parametrize("path, value, message", [
+    (("fading", "n_los"), 2.7, "fading.n_los must be an integer, got 2.7"),
+    (("fading", "n_los"), True, "fading.n_los must be an integer, got True"),
+    (("fading", "n_los"), "3", "fading.n_los must be an integer, got '3'"),
+    (("tiers", 0, "density_per_m2"), True,
+     "tiers[0].density_per_m2 must be a number, got True"),
+    (("tiers", 0, "density_per_m2"), "1e-5",
+     "tiers[0].density_per_m2 must be a number, got '1e-5'"),
+])
+def test_config_refuses_silent_coercions(path, value, message):
+    with pytest.raises(ConfigError) as err:
+        network_from_dict(_table1_with(path, value))
+    assert str(err.value) == message
+
+
+def test_validate_refuses_a_ball_whose_outer_edge_loss_overflows():
+    # kappa * 200 ** 1e308 is not a float: the intensity measure of the
+    # tier would overflow where it maps the ball's outer edge
+    with pytest.raises(ConfigError) as err:
+        network_from_dict(_table1_with(
+            ("tiers", 0, "balls", 1, "alpha_los"), 1e308))
+    assert ("tiers[0].balls[1].kappa_los_db (or the Friis loss at "
+            "carrier_hz) * radius_m ** alpha_los: must be finite and > 0 in "
+            "linear units, got inf") in str(err.value)
